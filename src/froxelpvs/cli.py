@@ -65,7 +65,6 @@ class RunConfig:
     lam: float = 0.99
     tau: float = 0.5
     threshold_distance: float = 10.0
-    deterministic: bool = False
     cell_center: tuple = (0.0, 1.5, 0.0)
     cell_yaw: float = 0.0
     out: str = ""
@@ -113,7 +112,6 @@ _CASTS = {
     "epochs": int, "batch": int, "holdout": int,
     "lr": float, "decay": float, "alpha": float, "lam": float, "tau": float,
     "threshold_distance": float, "cell_yaw": float,
-    "deterministic": lambda s: s.lower() in ("1", "true", "yes", "on"),
 }
 
 
@@ -153,8 +151,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--viewpoints", help="viewpoints per cell for ground truth")
         p.add_argument("--seed", help="RNG seed")
         p.add_argument("--tau", help="decision threshold")
-        p.add_argument("--deterministic", action="store_const", const="true",
-                       help="force fixed-order reductions (always on; recorded)")
         p.add_argument("--out", help="output path")
         for name in paths:
             p.add_argument(f"--{name.replace('_', '-')}")

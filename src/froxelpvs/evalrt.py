@@ -7,6 +7,7 @@ bounding volumes for dynamic occludees.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +37,7 @@ class MetricsRecord:
 
 
 def _popcount(bits: np.ndarray) -> int:
-    return int(np.unpackbits(bits).sum())
+    return int(np.bitwise_count(bits).sum())
 
 
 def froxel_metrics(pred: FroxelGrid, gt: FroxelGrid, frame: int = 0,
@@ -61,11 +62,10 @@ def froxel_metrics(pred: FroxelGrid, gt: FroxelGrid, frame: int = 0,
 
 def cull(scene: TriScene, pvs: FroxelGrid, id_map: dict) -> set:
     """Primitive ids that appear in at least one PVS-marked froxel."""
-    kept = set()
-    for coord, ids in id_map.items():
-        if pvs.get(*coord):
-            kept.update(ids)
-    return kept
+    coords = np.fromiter(itertools.chain.from_iterable(id_map), dtype=np.int64,
+                         count=3 * len(id_map)).reshape(-1, 3)
+    marked = pvs.get_many(coords)
+    return set().union(*itertools.compress(id_map.values(), marked))
 
 
 def pixel_error_rate(scene: TriScene, camera: Camera, pvs: FroxelGrid,

@@ -19,6 +19,7 @@ from .core import Frustum, TriScene, project_points
 
 FPVS_MAGIC = b"FPVS"
 FPVS_VERSION = 1
+FPVS_HEADER = 24
 ROLE_TAGS = ("geometry", "gt_pvs", "predicted_pvs")
 
 _DEGEN_EPS = 1e-12
@@ -103,14 +104,24 @@ class FroxelGrid:
         byte = (x >> 3) + self.row_bytes * (y + self.dims[1] * z)
         return int(self.bits[byte] >> (x & 7)) & 1
 
-    def set_many(self, coords):
-        """Set a batch of (N, 3) integer froxel coordinates."""
+    def _checked(self, coords) -> np.ndarray:
         coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
-        if coords.size == 0:
-            return
         if (coords < 0).any() or (coords >= np.array(self.dims)).any():
             raise IndexError("froxel coordinate out of range")
+        return coords
+
+    def set_many(self, coords):
+        """Set a batch of (N, 3) integer froxel coordinates."""
+        coords = self._checked(coords)
+        if coords.size == 0:
+            return
         self._set_unchecked(coords[:, 0], coords[:, 1], coords[:, 2])
+
+    def get_many(self, coords) -> np.ndarray:
+        """Boolean occupancy of a batch of (N, 3) integer froxel coordinates."""
+        x, y, z = self._checked(coords).T
+        byte = (x >> 3) + self.row_bytes * (y + self.dims[1] * z)
+        return ((self.bits[byte] >> (x & 7)) & 1).astype(bool)
 
     def _set_unchecked(self, x, y, z):
         byte = (x >> 3) + self.row_bytes * (y + self.dims[1] * z)
@@ -136,7 +147,7 @@ class FroxelGrid:
         return grid
 
     def occupied_count(self) -> int:
-        return int(np.unpackbits(self.bits).sum())
+        return int(np.bitwise_count(self.bits).sum())
 
     def occupancy(self) -> float:
         nx, ny, nz = self.dims
@@ -189,10 +200,18 @@ class FroxelGrid:
             raw = fh.read()
         if raw[:4] != FPVS_MAGIC:
             raise ValueError(f"{path}: not an FPVS grid file")
+        if len(raw) < FPVS_HEADER:
+            raise ValueError(f"{path}: truncated FPVS header")
         version, nx, ny, nz, role, ss = struct.unpack_from("<IIIIBB", raw, 4)
         if version != FPVS_VERSION:
             raise ValueError(f"{path}: unsupported FPVS version {version}")
-        payload = np.frombuffer(raw[24:], dtype=np.uint8)
+        if role >= len(ROLE_TAGS):
+            raise ValueError(f"{path}: unknown role tag {role}")
+        nbytes = (nx // 8) * ny * nz
+        if len(raw) - FPVS_HEADER != nbytes:
+            raise ValueError(f"{path}: payload holds {len(raw) - FPVS_HEADER} bytes, "
+                             f"dims {(nx, ny, nz)} need {nbytes}")
+        payload = np.frombuffer(raw, dtype=np.uint8, offset=FPVS_HEADER)
         return cls((nx, ny, nz), ROLE_TAGS[role], ss, payload.copy())
 
 
@@ -399,19 +418,31 @@ def froxel_id_map(scene: TriScene, frustum: Frustum, dims,
     """Map each covered froxel to the set of primitive ids touching it.
 
     Shares the fragment traversal with :func:`froxelize`, so the key set
-    matches the froxelized occupancy bit-exactly.
+    matches the froxelized occupancy bit-exactly. Each (froxel, primitive)
+    fragment becomes one scalar key ``flat * span + (pid - min_pid)``; one
+    sort deduplicates them and groups them by froxel.
     """
     cfg = cfg or FroxelizeConfig()
     nx, ny, nz = (int(d) for d in dims)
-    pairs = []
-    for idx, src in _fragment_stream(scene, frustum, (nx, ny, nz), cfg):
+    stream = _fragment_stream(scene, frustum, (nx, ny, nz), cfg)
+    pids = scene.primitive_ids
+    if len(pids) == 0:
+        return {}
+    lo = int(pids.min())
+    span = int(pids.max()) - lo + 1
+    if nx * ny * nz * span > np.iinfo(np.int64).max:
+        raise ValueError("primitive id range too wide for the froxel id map keys")
+    keys = []
+    for idx, src in stream:
         flat = idx[:, 0] + nx * (idx[:, 1] + ny * idx[:, 2])
-        pairs.append(np.column_stack([flat, scene.primitive_ids[src]]))
-    mapping: dict = {}
-    if not pairs:
-        return mapping
-    uniq = np.unique(np.concatenate(pairs), axis=0)
-    for flat, pid in uniq:
-        coord = (int(flat % nx), int((flat // nx) % ny), int(flat // (nx * ny)))
-        mapping.setdefault(coord, set()).add(int(pid))
-    return mapping
+        keys.append(flat * span + (pids[src] - lo))
+    if not keys:
+        return {}
+    flat, pid = np.divmod(np.unique(np.concatenate(keys)), span)
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(flat)) + 1, [len(flat)]])
+    cells = flat[bounds[:-1]]
+    coords = zip((cells % nx).tolist(), (cells // nx % ny).tolist(),
+                 (cells // (nx * ny)).tolist())
+    ids = (pid + lo).tolist()
+    return {c: set(ids[s:e]) for c, s, e in zip(coords, bounds[:-1].tolist(),
+                                                 bounds[1:].tolist())}

@@ -3,8 +3,9 @@ descent.
 
 The network maps an interleaved geometry tensor to per-froxel visibility
 probabilities. Layers are 3D cross-correlations with zero padding (spatial
-dims preserved) and hand-derived backward passes; everything runs in float64
-numpy so gradients check out against central finite differences.
+dims preserved) and hand-derived backward passes. Training runs in float64
+so gradients check out against central finite differences; inference runs
+in float32 by shifted-GEMM accumulation, without an im2col buffer.
 
 Losses follow the conventional confusion-count reading: on soft predictions
 p and binary ground truth g, TP = sum(p*g), FP = sum(p*(1-g)),
@@ -198,15 +199,48 @@ class Conv3d:
                     j += 1
         return cols
 
+    def _shifted_gemm(self, x: np.ndarray) -> np.ndarray:
+        """Float32 pre-activation as k^3 shifted GEMMs into one accumulator.
+
+        Kernel-to-row accumulation (Vasudevan, Anderson & Gregg, ASAP 2017):
+        each kernel offset multiplies one shifted copy of the padded input by
+        its (C_in, C_out) weight slice, so the k^3 * C_in column buffer of
+        :meth:`_cols` is never built.
+        """
+        k = self.spec.kernel
+        p = k // 2
+        bsz, d, h, w, cin = x.shape
+        cout = self.spec.out_channels
+        xpad = np.pad(x.astype(np.float32, copy=False),
+                      ((0, 0), (p, p), (p, p), (p, p), (0, 0)))
+        taps = self.w.astype(np.float32).reshape(k ** 3, cin, cout)
+        shifted = np.empty((bsz, d, h, w, cin), dtype=np.float32)
+        z = np.empty((bsz * d * h * w, cout), dtype=np.float32)
+        prod = np.empty_like(z)
+        z[:] = self.b
+        for j, (a, b, cc) in enumerate(np.ndindex(k, k, k)):
+            np.copyto(shifted, xpad[:, a:a + d, b:b + h, cc:cc + w, :])
+            np.matmul(shifted.reshape(-1, cin), taps[j], out=prod)
+            z += prod
+        return z.reshape(bsz, d, h, w, cout)
+
     def forward(self, x: np.ndarray, keep_cache: bool = False):
-        """Returns the activation output, plus a backward cache when asked."""
+        """Returns the activation output, plus a backward cache when asked.
+
+        Without a cache the layer runs in float32 (:meth:`_shifted_gemm`);
+        with one it runs in float64 over the im2col columns that
+        :meth:`backward` reuses.
+        """
         if x.ndim != 5 or x.shape[4] != self.spec.in_channels:
             raise ValueError(
                 f"expected (B, D, H, W, {self.spec.in_channels}) input, got {x.shape}")
-        cols = self._cols(x)
-        bsz, d, h, w = x.shape[:4]
-        z = cols.reshape(-1, self.w.shape[0]) @ self.w + self.b
-        z = z.reshape(bsz, d, h, w, self.spec.out_channels)
+        if keep_cache:
+            cols = self._cols(x)
+            bsz, d, h, w = x.shape[:4]
+            z = cols.reshape(-1, self.w.shape[0]) @ self.w + self.b
+            z = z.reshape(bsz, d, h, w, self.spec.out_channels)
+        else:
+            z = self._shifted_gemm(x)
         act = self.spec.activation
         if act == "relu":
             y = np.maximum(z, 0.0)
@@ -249,14 +283,6 @@ class Conv3d:
         return dx, dw, db
 
 
-def conv3d_forward(x: np.ndarray, layer: Conv3d) -> np.ndarray:
-    return layer.forward(x)
-
-
-def conv3d_backward(layer: Conv3d, dy: np.ndarray, cache):
-    return layer.backward(dy, cache)
-
-
 class PvsNet:
     """Stack of Conv3d layers mapping channel tensors to probabilities."""
 
@@ -272,6 +298,7 @@ class PvsNet:
             self.layers[-1].b[:] = -self.OUTPUT_GAIN / 2.0
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """Float32 inference pass; see :meth:`Conv3d.forward`."""
         for layer in self.layers:
             x = layer.forward(x)
         return x
@@ -319,9 +346,13 @@ class PvsNet:
             raw = fh.read()
         if raw[:4] != FPVW_MAGIC:
             raise ValueError(f"{path}: not an FPVW checkpoint")
+        if len(raw) < 12:
+            raise ValueError(f"{path}: truncated FPVW header")
         version, textlen = struct.unpack_from("<II", raw, 4)
         if version != FPVW_VERSION:
             raise ValueError(f"{path}: unsupported FPVW version {version}")
+        if 12 + textlen > len(raw):
+            raise ValueError(f"{path}: truncated FPVW header")
         text = raw[12:12 + textlen].decode()
         d = None
         specs = []
@@ -332,8 +363,15 @@ class PvsNet:
             elif key == "layer":
                 k, cin, cout, act = val.split(":")
                 specs.append(ConvSpec(int(k), int(cin), int(cout), act))
-        net = cls(ModelConfig(d, specs))
+        if d is None:
+            raise ValueError(f"{path}: checkpoint header has no d= line")
+        cfg = ModelConfig(d, specs)
         off = 12 + textlen
+        need = 4 * sum((s.kernel ** 3 * s.in_channels + 1) * s.out_channels for s in specs)
+        if len(raw) - off != need:
+            raise ValueError(f"{path}: weights hold {len(raw) - off} bytes, "
+                             f"the layers need {need}")
+        net = cls(cfg)
         for layer in net.layers:
             k, cin, cout = (layer.spec.kernel, layer.spec.in_channels,
                             layer.spec.out_channels)
@@ -517,7 +555,7 @@ def predict_pvs(grid: FroxelGrid, net, tau: float = 0.5) -> FroxelGrid:
     d = net.cfg.d
     if any(dim % d for dim in grid.dims):
         raise ValueError(f"grid dims {grid.dims} not divisible by interleave factor {d}")
-    x = interleave(grid.to_dense().astype(np.float64), d).values[None]
+    x = interleave(grid.to_dense().astype(np.float32), d).values[None]
     if x.shape[4] != net.cfg.layers[0].in_channels:
         raise ValueError("grid/channel mismatch against the checkpoint")
     y = net.forward(x)[0]

@@ -113,6 +113,49 @@ class TestFroxelGrid:
         with pytest.raises(ValueError):
             FroxelGrid.load(path)
 
+    @pytest.mark.parametrize("corrupt", ["short", "role", "payload_short", "payload_long"])
+    def test_load_rejects_corrupt_file(self, tmp_path, corrupt):
+        path = tmp_path / "grid.fpvs"
+        FroxelGrid((16, 8, 8)).save(path)
+        raw = bytearray(path.read_bytes())
+        if corrupt == "short":
+            raw = raw[:20]
+        elif corrupt == "role":
+            raw[20] = 3
+        elif corrupt == "payload_short":
+            raw = raw[:-1]
+        else:
+            raw += b"\0"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError):
+            FroxelGrid.load(path)
+
+    @pytest.mark.parametrize("corrupt", ["short", "role"])
+    def test_cli_maps_corrupt_grid_to_validation_exit(self, tmp_path, capsys, corrupt):
+        from froxelpvs.cli import EXIT_VALIDATION, main
+        from froxelpvs.neural import ModelConfig, PvsNet
+        geometry = tmp_path / "geo.fpvs"
+        FroxelGrid((16, 16, 16)).save(geometry)
+        raw = bytearray(geometry.read_bytes())
+        if corrupt == "short":
+            raw = raw[:10]
+        else:
+            raw[20] = 7
+        geometry.write_bytes(bytes(raw))
+        checkpoint = tmp_path / "net.fpvw"
+        PvsNet(ModelConfig.default(4, hidden=8)).save(checkpoint)
+        rc = main(["infer", "--geometry", str(geometry), "--checkpoint", str(checkpoint),
+                   "--out", str(tmp_path / "pred.fpvs")])
+        assert rc == EXIT_VALIDATION
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_get_many_matches_get(self, rng):
+        grid = FroxelGrid.from_dense(rng.random((16, 8, 8)) < 0.3)
+        coords = np.column_stack([rng.integers(0, n, 200) for n in grid.dims])
+        assert grid.get_many(coords).tolist() == [bool(grid.get(*c)) for c in coords]
+        with pytest.raises(IndexError):
+            grid.get_many([[16, 0, 0]])
+
 
 def _exact_frustum():
     """Frustum whose depth arithmetic is exact in binary floating point."""
