@@ -64,7 +64,6 @@ class RunConfig:
     alpha: float = 0.1
     lam: float = 0.99
     tau: float = 0.5
-    threshold_distance: float = 10.0
     cell_center: tuple = (0.0, 1.5, 0.0)
     cell_yaw: float = 0.0
     out: str = ""
@@ -111,7 +110,7 @@ _CASTS = {
     "d": int, "supersample": int, "viewpoints": int, "seed": int, "frames": int,
     "epochs": int, "batch": int, "holdout": int,
     "lr": float, "decay": float, "alpha": float, "lam": float, "tau": float,
-    "threshold_distance": float, "cell_yaw": float,
+    "cell_yaw": float,
 }
 
 
@@ -178,7 +177,7 @@ def _build_parser() -> _Parser:
     common(p, paths=("geometry", "checkpoint"))
 
     p = sub.add_parser("eval", help="compare predicted vs ground-truth grids")
-    common(p, paths=("pred", "gt", "scene", "checkpoint"))
+    common(p, paths=("pred", "gt", "scene"))
     p.add_argument("--cell-center")
     p.add_argument("--cell-yaw")
 

@@ -200,21 +200,3 @@ def read_metrics_csv(path) -> list:
                                      float(f[8]), float(f[9])))
     return records
 
-
-def _id_color(i: int):
-    # bit-mixed hash keeps nearby ids visually distinct
-    h = (i * 2654435761) & 0xFFFFFFFF
-    return (h & 0xFF, (h >> 8) & 0xFF, (h >> 16) & 0xFF)
-
-
-def write_ppm_ids(path, prim: np.ndarray):
-    """P6 dump of an id buffer with hashed colors; background is black."""
-    h, w = prim.shape
-    img = np.zeros((h, w, 3), dtype=np.uint8)
-    for pid in np.unique(prim):
-        if pid < 0:
-            continue
-        img[prim == pid] = _id_color(int(pid))
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(img.tobytes())

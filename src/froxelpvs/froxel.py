@@ -24,6 +24,7 @@ ROLE_TAGS = ("geometry", "gt_pvs", "predicted_pvs")
 
 _DEGEN_EPS = 1e-12
 _MAX_PAIRS = 4_000_000
+_SPAN_ULPS = 16      # bound on the inside test's rounding, in eps of its operands
 
 
 def quantize(uvw, dims):
@@ -219,23 +220,32 @@ class FroxelGrid:
 # Flat-pair rasterization core
 # ---------------------------------------------------------------------------
 
-def clip_polygon_halfspace(poly: np.ndarray, signed_dist: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex polygon against one half-space.
+def clip_triangles_halfspace(tris: np.ndarray, dist: np.ndarray):
+    """Sutherland-Hodgman clip of triangles against one half-space, fanned
+    back into triangles.
 
-    ``signed_dist`` holds per-vertex distances, kept side >= 0. Returns the
-    clipped polygon (possibly empty) with interpolated vertices.
+    ``tris`` is (N, 3, D) and ``dist`` (N, 3) holds per-vertex signed
+    distances, kept side >= 0. A crossing edge (i, j) gains the vertex
+    ``p_i + t (p_j - p_i)`` with ``t = d_i / (d_i - d_j)``. Each clipped
+    polygon of 3 or 4 vertices becomes 1 or 2 fan triangles around its first
+    vertex; a triangle wholly on the far side gives none. Returns the fan
+    triangles and the input row of each, in input order.
     """
-    n = len(poly)
-    out = []
-    for i in range(n):
-        j = (i + 1) % n
-        di, dj = signed_dist[i], signed_dist[j]
-        if di >= 0:
-            out.append(poly[i])
-        if (di >= 0) != (dj >= 0):
-            t = di / (di - dj)
-            out.append(poly[i] + t * (poly[j] - poly[i]))
-    return np.asarray(out, dtype=np.float64).reshape(-1, poly.shape[1])
+    n, dim = len(tris), tris.shape[2]
+    keep = dist >= 0
+    nxt = [1, 2, 0]
+    cross = keep != keep[:, nxt]
+    t = np.divide(dist, dist - dist[:, nxt], out=np.zeros_like(dist), where=cross)
+    hit = tris + t[:, :, None] * (tris[:, nxt] - tris)
+    # the clip visits vertex i, then the crossing on edge (i, i + 1)
+    cand = np.stack([tris, hit], axis=2).reshape(n, 6, dim)
+    valid = np.stack([keep, cross], axis=2).reshape(n, 6)
+    order = np.argsort(~valid, axis=1, kind="stable")
+    poly = np.take_along_axis(cand, order[:, :, None], axis=1)
+    fans = poly[:, [[0, 1, 2], [0, 2, 3]]].reshape(2 * n, 3, dim)
+    corners = valid.sum(axis=1)
+    emit = np.column_stack([corners >= 3, corners == 4]).ravel()
+    return fans[emit], np.repeat(np.arange(n), 2)[emit]
 
 
 def interp_affine(attrs: np.ndarray, b1, b2):
@@ -243,6 +253,14 @@ def interp_affine(attrs: np.ndarray, b1, b2):
     1 and 2; anchoring at vertex 0 keeps constant attributes bit-exact."""
     return attrs[:, 0] + b1 * (attrs[:, 1] - attrs[:, 0]) \
         + b2 * (attrs[:, 2] - attrs[:, 0])
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray):
+    """Concatenated integer ranges ``[s, s + n)``, and for each element the
+    index of the range it came from."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    return starts[owner] + np.arange(len(owner)) - first[owner], owner
 
 
 def iter_raster_chunks(tris2d: np.ndarray, width: int, height: int,
@@ -253,6 +271,14 @@ def iter_raster_chunks(tris2d: np.ndarray, width: int, height: int,
     ``(tri_index, px, py, b1, b2)`` of interior samples, where tri_index
     addresses ``tris2d`` rows and b1/b2 are the barycentric weights of
     vertices 1 and 2. Coverage uses inclusive (>= 0) edge tests.
+
+    Candidates are generated per bounding-box row, from the x-span that the
+    three barycentric half-planes leave at the row's sample y (Pineda,
+    SIGGRAPH 1988), widened by one pixel on each side; the inside test then
+    runs on them unchanged, so the output equals testing every pixel of the
+    box. Samples come out triangle by triangle, row by row, left to right; a
+    chunk holds the triangles of at most ``max_pairs`` bounding-box pixels,
+    or one triangle.
     """
     tris2d = np.asarray(tris2d, dtype=np.float64)
     if len(tris2d) == 0:
@@ -275,6 +301,24 @@ def iter_raster_chunks(tris2d: np.ndarray, width: int, height: int,
     if len(idx_all) == 0:
         return
 
+    # b_k * den = alpha_k * dx + beta_k * dy + gamma_k for k = 0, 1, 2
+    alpha = np.column_stack([e1[:, 1] - e2[:, 1], e2[:, 1], -e1[:, 1]])
+    beta = np.column_stack([e2[:, 0] - e1[:, 0], -e2[:, 0], e1[:, 0]])
+    gamma = np.column_stack([den, np.zeros_like(den), np.zeros_like(den)])
+    # bound on the inside test's rounding of b_k * den over the box, where
+    # |dx| <= mx and |dy| <= my
+    mx = np.maximum(np.abs(x0 + 0.5 - v0[:, 0]), np.abs(x1 - 0.5 - v0[:, 0]))
+    my = np.maximum(np.abs(y0 + 0.5 - v0[:, 1]), np.abs(y1 - 0.5 - v0[:, 1]))
+    slack = _SPAN_ULPS * np.finfo(np.float64).eps * (
+        mx * (np.abs(e1[:, 1]) + np.abs(e2[:, 1]))
+        + my * (np.abs(e1[:, 0]) + np.abs(e2[:, 0])) + np.abs(den))
+    # that rounding moves a span bound by under half a pixel where the
+    # x-coefficient exceeds twice it; an edge nearer horizontal bounds nothing
+    bounded = np.abs(alpha) > 2.0 * slack[:, None]
+    lower = bounded & (alpha * np.sign(den)[:, None] > 0)
+    upper = bounded & ~lower
+    alpha = np.where(bounded, alpha, 1.0)
+
     bounds = np.cumsum(counts[idx_all])
     start = 0
     while start < len(idx_all):
@@ -282,15 +326,20 @@ def iter_raster_chunks(tris2d: np.ndarray, width: int, height: int,
         stop = int(np.searchsorted(bounds, base + max_pairs, side="left")) + 1
         stop = min(max(stop, start + 1), len(idx_all))
         sel = idx_all[start:stop]
-        cnt = counts[sel]
-        offs = np.concatenate([[0], np.cumsum(cnt)])
-        total = int(offs[-1])
-        pair_t = np.repeat(np.arange(len(sel)), cnt)
-        ridx = np.arange(total) - offs[pair_t]
-        tw = w[sel][pair_t]
-        px = x0[sel][pair_t] + ridx % tw
-        py = y0[sel][pair_t] + ridx // tw
-        gsel = sel[pair_t]
+        row_y, row_t = _ranges(y0[sel], h[sel])
+        row_t = sel[row_t]
+        # dx at which each b_k crosses zero on the row
+        ry = (row_y + 0.5) - v0[row_t, 1]
+        zero = -(beta[row_t] * ry[:, None] + gamma[row_t]) / alpha[row_t]
+        lo = np.where(lower[row_t], zero, -np.inf).max(axis=1)
+        hi = np.where(upper[row_t], zero, np.inf).min(axis=1)
+        # px = dx + sx; one pixel of widening on each side absorbs the rounding
+        sx = v0[row_t, 0] - 0.5
+        xa = np.clip(np.ceil(lo + sx) - 1, x0[row_t], x1[row_t]).astype(np.int64)
+        xb = np.clip(np.floor(hi + sx) + 2, x0[row_t], x1[row_t]).astype(np.int64)
+        px, pair_r = _ranges(xa, np.maximum(xb - xa, 0))
+        py = row_y[pair_r]
+        gsel = row_t[pair_r]
         dx = (px + 0.5) - v0[gsel, 0]
         dy = (py + 0.5) - v0[gsel, 1]
         dd = den[gsel]
@@ -319,25 +368,13 @@ def screen_triangles(scene: TriScene, origin: np.ndarray, basis: np.ndarray,
     """
     cam = _camera_space(scene.vertices, origin, basis)
     tris = scene.triangles
-    if len(tris) == 0:
-        empty = np.zeros((0, 3, 2)), np.zeros((0, 3)), np.zeros(0, dtype=np.int64)
-        return empty
     z = cam[:, 2][tris]
     candidates = np.nonzero((z.max(axis=1) > near) & (z.min(axis=1) < far))[0]
     clean = candidates[z[candidates].min(axis=1) >= near]
     crossing = candidates[z[candidates].min(axis=1) < near]
-
-    polys = [cam[tris[clean]]] if len(clean) else []
-    srcs = [clean]
-    for t in crossing:
-        poly = clip_polygon_halfspace(cam[tris[t]], cam[tris[t], 2] - near)
-        for k in range(1, len(poly) - 1):
-            polys.append(poly[[0, k, k + 1]][None, :, :])
-            srcs.append(np.array([t], dtype=np.int64))
-    if not polys:
-        return np.zeros((0, 3, 2)), np.zeros((0, 3)), np.zeros(0, dtype=np.int64)
-    cam3 = np.concatenate(polys, axis=0)
-    src = np.concatenate(srcs)
+    clipped, owner = clip_triangles_halfspace(cam[tris[crossing]], z[crossing] - near)
+    cam3 = np.concatenate([cam[tris[clean]], clipped])
+    src = np.concatenate([clean, crossing[owner]])
     zc = cam3[:, :, 2]
     u = (0.5 + 0.5 * cam3[:, :, 0] / (zc * half_extent)) * width
     v = (0.5 + 0.5 * cam3[:, :, 1] / (zc * half_extent)) * height

@@ -156,6 +156,7 @@ def compute_gt_pvs(scene: TriScene, cell: ViewCell, dims, ocfg: OracleConfig,
     gt = FroxelGrid(dims, role="gt_pvs", supersample=fcfg.supersample)
     cams = cameras if cameras is not None else sample_viewpoints(cell, ocfg)
     res = ocfg.resolution_for(gt.dims)
+    seen = np.zeros(gt.dims, dtype=bool)
     for cam in cams:
         buf = render_depth(scene, cam, res)
         rows, cols = np.nonzero(buf.prim >= 0)
@@ -163,12 +164,12 @@ def compute_gt_pvs(scene: TriScene, cell: ViewCell, dims, ocfg: OracleConfig,
             continue
         uvw, inside = reproject_fragments(cam, frustum, cols, rows,
                                           buf.depth[rows, cols], res, fcfg.depth_mode)
-        if not inside.any():
-            continue
-        coords = quantize(uvw[inside], gt.dims)
-        gt.set_many(coords)
-        if geometry is not None:
-            geometry.set_many(coords)
+        x, y, z = quantize(uvw[inside], gt.dims).T
+        seen[x, y, z] = True
+    coords = np.argwhere(seen)
+    gt.set_many(coords)
+    if geometry is not None:
+        geometry.set_many(coords)
     return gt
 
 

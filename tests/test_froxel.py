@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from froxelpvs.core import TriScene, Vec3, build_viewcell_frustum, unproject_ndc
-from froxelpvs.froxel import (FroxelGrid, FroxelizeConfig, froxel_id_map, froxelize,
-                              quantize)
+from froxelpvs.froxel import (_DEGEN_EPS, FroxelGrid, FroxelizeConfig,
+                              clip_triangles_halfspace, froxel_id_map, froxelize,
+                              iter_raster_chunks, quantize, screen_triangles)
 
 from conftest import default_cell, quad_at
 
@@ -288,3 +289,202 @@ class TestIdMap:
         if mapping:
             from_map.set_many(np.array(sorted(mapping)))
         assert from_map == grid
+
+
+# ---------------------------------------------------------------------------
+# Rasterizer and near-plane clip against plain reference implementations
+# ---------------------------------------------------------------------------
+
+def _bbox_raster_reference(tris2d, width, height, max_pairs):
+    """Tests every pixel of each triangle's bounding box, with the same
+    inside test and chunking as :func:`iter_raster_chunks`."""
+    tris2d = np.asarray(tris2d, dtype=np.float64)
+    if len(tris2d) == 0:
+        return
+    v0 = tris2d[:, 0]
+    e1 = tris2d[:, 1] - v0
+    e2 = tris2d[:, 2] - v0
+    den = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
+    mins = tris2d.min(axis=1)
+    maxs = tris2d.max(axis=1)
+    x0 = np.clip(np.ceil(mins[:, 0] - 0.5), 0, width).astype(np.int64)
+    x1 = np.clip(np.floor(maxs[:, 0] - 0.5) + 1, 0, width).astype(np.int64)
+    y0 = np.clip(np.ceil(mins[:, 1] - 0.5), 0, height).astype(np.int64)
+    y1 = np.clip(np.floor(maxs[:, 1] - 0.5) + 1, 0, height).astype(np.int64)
+    w = np.maximum(x1 - x0, 0)
+    h = np.maximum(y1 - y0, 0)
+    counts = w * h
+    idx_all = np.nonzero((np.abs(den) > _DEGEN_EPS) & (counts > 0))[0]
+    if len(idx_all) == 0:
+        return
+    bounds = np.cumsum(counts[idx_all])
+    start = 0
+    while start < len(idx_all):
+        base = bounds[start - 1] if start else 0
+        stop = int(np.searchsorted(bounds, base + max_pairs, side="left")) + 1
+        stop = min(max(stop, start + 1), len(idx_all))
+        sel = idx_all[start:stop]
+        cnt = counts[sel]
+        offs = np.concatenate([[0], np.cumsum(cnt)])
+        pair_t = np.repeat(np.arange(len(sel)), cnt)
+        ridx = np.arange(int(offs[-1])) - offs[pair_t]
+        tw = w[sel][pair_t]
+        px = x0[sel][pair_t] + ridx % tw
+        py = y0[sel][pair_t] + ridx // tw
+        gsel = sel[pair_t]
+        dx = (px + 0.5) - v0[gsel, 0]
+        dy = (py + 0.5) - v0[gsel, 1]
+        dd = den[gsel]
+        b1 = (dx * e2[gsel, 1] - e2[gsel, 0] * dy) / dd
+        b2 = (e1[gsel, 0] * dy - dx * e1[gsel, 1]) / dd
+        b0 = 1.0 - b1 - b2
+        inside = (b0 >= 0) & (b1 >= 0) & (b2 >= 0)
+        if inside.any():
+            yield gsel[inside], px[inside], py[inside], b1[inside], b2[inside]
+        start = stop
+
+
+def _concat(chunks):
+    parts = list(zip(*chunks))
+    if not parts:
+        return [np.zeros(0)] * 5
+    return [np.concatenate(p) for p in parts]
+
+
+def _clip_polygon_reference(poly, signed_dist):
+    """Per-polygon Sutherland-Hodgman clip, kept side >= 0."""
+    out = []
+    for i in range(len(poly)):
+        j = (i + 1) % len(poly)
+        di, dj = signed_dist[i], signed_dist[j]
+        if di >= 0:
+            out.append(poly[i])
+        if (di >= 0) != (dj >= 0):
+            t = di / (di - dj)
+            out.append(poly[i] + t * (poly[j] - poly[i]))
+    return np.asarray(out, dtype=np.float64).reshape(-1, poly.shape[1])
+
+
+def _screen_triangles_reference(scene, origin, basis, half_extent, near, far,
+                                width, height):
+    """:func:`screen_triangles` with a Python loop clipping one triangle at a time."""
+    cam = (scene.vertices - origin) @ basis.T
+    tris = scene.triangles
+    z = cam[:, 2][tris]
+    candidates = np.nonzero((z.max(axis=1) > near) & (z.min(axis=1) < far))[0]
+    clean = candidates[z[candidates].min(axis=1) >= near]
+    crossing = candidates[z[candidates].min(axis=1) < near]
+    polys = [cam[tris[clean]]]
+    srcs = [clean]
+    for t in crossing:
+        poly = _clip_polygon_reference(cam[tris[t]], cam[tris[t], 2] - near)
+        for k in range(1, len(poly) - 1):
+            polys.append(poly[[0, k, k + 1]][None])
+            srcs.append(np.array([t]))
+    cam3 = np.concatenate(polys)
+    zc = cam3[:, :, 2]
+    u = (0.5 + 0.5 * cam3[:, :, 0] / (zc * half_extent)) * width
+    v = (0.5 + 0.5 * cam3[:, :, 1] / (zc * half_extent)) * height
+    return np.stack([u, v], axis=2), 1.0 / zc, np.concatenate(srcs)
+
+
+def _sorted_rows(*columns):
+    rows = np.column_stack([np.asarray(c, dtype=np.float64).reshape(len(c), -1)
+                            for c in columns])
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def _raster_cases():
+    rng = np.random.Generator(np.random.PCG64(7))
+    cases = {"random": rng.uniform(-4.0, 40.0, (300, 3, 2))}
+    # vertices on pixel centres and on pixel edges
+    cases["centres"] = rng.integers(0, 36, (200, 3, 2)) + 0.5
+    cases["edges"] = rng.integers(0, 36, (200, 3, 2)).astype(np.float64)
+    # axis-aligned edges, both windings, and edges a hair off axis, some on
+    # y = 0 where the hair can be subnormal
+    axis = []
+    for x, y, a, b in rng.uniform(0.0, 30.0, (60, 4)):
+        for y in (y, 0.0):
+            for tilt in (0.0, 5e-324, 1e-14, 1e-9):
+                axis += [[[x, y], [x + a, y + tilt], [x, y + b]],
+                         [[x, y], [x, y + b], [x + a, y + tilt]],
+                         [[x + tilt, y], [x, y + b], [x + a, y + b]],
+                         [[x, y + 0.5], [x + a, y + 0.5 + tilt], [x + a / 2, y + b]]]
+    cases["axis"] = np.array(axis)
+    # slivers whose doubled area straddles the degeneracy threshold, lying
+    # along pixel-centre rows, columns and diagonals
+    slivers = []
+    for k in (0.5, 1.0, 1.5, 4.0, 1e3):
+        for (x, y), (dx, dy) in zip(rng.integers(0, 30, (40, 2)) + 0.5,
+                                    rng.uniform(-20.0, 20.0, (40, 2))):
+            for d in ((dx, 0.0), (0.0, dy), (dx, dx), (dx, dy)):
+                length = np.hypot(*d) or 1.0
+                off = k * _DEGEN_EPS / length
+                nrm = np.array([-d[1], d[0]]) / length
+                a = np.array([x, y])
+                slivers.append([a, a + d, a + np.array(d) / 2 + off * nrm])
+    cases["slivers"] = np.array(slivers)
+    # partly off-screen, some very large
+    cases["offscreen"] = np.concatenate([rng.uniform(-60.0, 100.0, (150, 3, 2)),
+                                         rng.uniform(-1e6, 1e6, (50, 3, 2))])
+    return cases
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestRasterizer:
+    @pytest.mark.parametrize("max_pairs", [4_000_000, 37, 1])
+    @pytest.mark.parametrize("case", ["random", "centres", "edges", "axis", "slivers",
+                                      "offscreen"])
+    def test_row_spans_match_bbox_enumeration(self, case, max_pairs):
+        tris2d = _raster_cases()[case]
+        got = _concat(iter_raster_chunks(tris2d, 36, 28, max_pairs))
+        ref = _concat(_bbox_raster_reference(tris2d, 36, 28, max_pairs))
+        assert len(ref[0]) > 0
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_chunks_never_exceed_bbox_budget(self):
+        tris2d = _raster_cases()["random"]
+        chunks = list(iter_raster_chunks(tris2d, 36, 28, 200))
+        ref = list(_bbox_raster_reference(tris2d, 36, 28, 200))
+        assert len(chunks) == len(ref) > 1
+        for a, b in zip(chunks, ref):
+            assert np.array_equal(a[0], b[0])
+
+    def test_clip_matches_polygon_loop(self, rng):
+        tris = rng.normal(0.0, 1.0, (400, 3, 3))
+        dist = rng.normal(0.0, 1.0, (400, 3))
+        dist[::7, 1] = 0.0      # vertices exactly on the plane
+        dist[::11] = np.abs(dist[::11])      # wholly kept
+        dist[::13] = -np.abs(dist[::13]) - 1e-3   # wholly cut
+        got, owner = clip_triangles_halfspace(tris, dist)
+        ref, ref_owner = [], []
+        for i in range(len(tris)):
+            poly = _clip_polygon_reference(tris[i], dist[i])
+            for k in range(1, len(poly) - 1):
+                ref.append(poly[[0, k, k + 1]])
+                ref_owner.append(i)
+        assert np.array_equal(owner, ref_owner)
+        assert np.array_equal(got, np.array(ref))
+
+    def test_screen_triangles_match_clip_loop(self, rng):
+        near = 0.5
+        zs = [[0.2, 3.0, 4.0],     # one vertex behind the near plane
+              [0.1, 0.3, 5.0],     # two behind
+              [0.5, 0.2, 3.0],     # one on it, one behind
+              [0.5, 2.0, 0.5],     # two on it
+              [2.0, 3.0, 4.0],     # wholly in front
+              [0.1, 0.2, 0.4]]     # wholly behind
+        zs += rng.uniform(-0.5, 2.0, (200, 3)).tolist()
+        verts, tris = [], []
+        for i, z in enumerate(zs):
+            xy = rng.uniform(-2.0, 2.0, (3, 2))
+            verts += np.column_stack([xy, z]).tolist()
+            tris.append([3 * i, 3 * i + 1, 3 * i + 2])
+        scene = TriScene(np.array(verts), np.array(tris))
+        args = (np.zeros(3), np.eye(3), 1.0, near, 20.0, 64, 48)
+        got = screen_triangles(scene, *args)
+        ref = _screen_triangles_reference(scene, *args)
+        assert len(ref[2]) > len(zs) // 2
+        assert np.array_equal(_sorted_rows(got[2], got[0], got[1]),
+                              _sorted_rows(ref[2], ref[0], ref[1]))

@@ -7,7 +7,7 @@ import pytest
 from froxelpvs.froxel import FroxelGrid, froxelize
 from froxelpvs.interleave import ChannelTensor, deinterleave, interleave
 from froxelpvs.neural import ACTIVATIONS, Conv3d, ConvSpec, ModelConfig, PvsNet, \
-    predict_pvs
+    TrainConfig, combined_loss, dice_loss, predict_pvs, rvl_loss
 
 BAND = 1e-5     # |p - tau| below this may flip between float32 and float64
 
@@ -106,6 +106,52 @@ class TestConv3dGradients:
     def test_backward_requires_cache(self):
         with pytest.raises(ValueError):
             _layer(3, 2, 2, "relu").backward(np.zeros((1, 2, 2, 2, 2)), None)
+
+
+_LOSSES = {
+    "dice": lambda p, g: dice_loss(p, g, 0.1),
+    "dice_even": lambda p, g: dice_loss(p, g, 0.5),
+    "rvl": rvl_loss,
+    "combined": lambda p, g: combined_loss(p, g, TrainConfig(alpha=0.3, lam=0.7)),
+}
+
+
+class TestLosses:
+    @pytest.mark.parametrize("empty", [False, True])
+    @pytest.mark.parametrize("name", sorted(_LOSSES))
+    def test_gradient_matches_central_differences(self, name, empty, rng):
+        fn = _LOSSES[name]
+        pred = rng.uniform(0.05, 0.95, (2, 3, 2, 2))
+        gt = np.zeros(pred.shape) if empty else (rng.random(pred.shape) < 0.4) * 1.0
+        _, grad = fn(pred, gt)
+        eps = 1e-6
+        numeric = np.empty_like(pred)
+        for i in np.ndindex(pred.shape):
+            keep = pred[i]
+            pred[i] = keep + eps
+            up, _ = fn(pred, gt)
+            pred[i] = keep - eps
+            down, _ = fn(pred, gt)
+            pred[i] = keep
+            numeric[i] = (up - down) / (2 * eps)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("name", sorted(_LOSSES))
+    def test_perfect_prediction_is_zero(self, name, rng):
+        gt = (rng.random((3, 4, 2)) < 0.3) * 1.0
+        gt[0, 0, 0] = 1.0
+        loss, _ = _LOSSES[name](gt.copy(), gt)
+        assert loss == 0.0
+
+    def test_empty_ground_truth_conventions(self, rng):
+        gt = np.zeros((3, 4, 2))
+        pred = rng.uniform(0.05, 0.95, gt.shape)
+        for alpha in (0.1, 0.5):
+            assert dice_loss(np.zeros_like(gt), gt, alpha)[0] == 0.0
+            assert dice_loss(pred, gt, alpha)[0] == 1.0
+        for p in (np.zeros_like(gt), pred):
+            loss, grad = rvl_loss(p, gt)
+            assert loss == 0.0 and not grad.any()
 
 
 class TestInterleave:
