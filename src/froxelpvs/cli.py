@@ -9,6 +9,7 @@ explicit flags win over file entries.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -114,6 +115,13 @@ _CASTS = {
 }
 
 
+def _cast(key: str, text: str):
+    try:
+        return _CASTS.get(key, str)(text)
+    except ValueError as exc:
+        raise UsageError(f"bad value for {key}: {text!r}") from exc
+
+
 def _load_config_file(path) -> dict:
     values = {}
     for line in Path(path).read_text().splitlines():
@@ -128,7 +136,7 @@ def _load_config_file(path) -> dict:
             key = "lam"
         if key not in {f.name for f in fields(RunConfig)}:
             raise UsageError(f"unknown config key {key!r}")
-        values[key] = _CASTS.get(key, str)(val)
+        values[key] = _cast(key, val)
     return values
 
 
@@ -201,7 +209,7 @@ def parse_run_config(argv) -> RunConfig:
     for key, val in vars(ns).items():
         if key in ("command", "config") or val is None:
             continue
-        overrides[key] = _CASTS.get(key, str)(val) if isinstance(val, str) else val
+        overrides[key] = _cast(key, val) if isinstance(val, str) else val
     for key, val in overrides.items():
         setattr(cfg, key, val)
     return cfg
@@ -219,10 +227,12 @@ def _require(cfg: RunConfig, *names):
 
 def cmd_gen_dataset(cfg: RunConfig) -> int:
     _require(cfg, "out")
+    if cfg.frames < 1:
+        raise UsageError(f"froxelpvs gen-dataset: --frames must be at least 1, got {cfg.frames}")
     manifest = generate_dataset(
         cfg.scene_config(), cfg.frames, cfg.out, dims=cfg.dims,
         ocfg=OracleConfig(viewpoints=cfg.viewpoints, seed=cfg.seed),
-        fcfg=FroxelizeConfig(supersample=cfg.supersample, mode="ortho"))
+        fcfg=FroxelizeConfig(supersample=cfg.supersample))
     print(f"wrote {cfg.frames} frame pairs, manifest {manifest}")
     return EXIT_OK
 
@@ -232,7 +242,7 @@ def cmd_gt(cfg: RunConfig) -> int:
     scene = load_scene(cfg.scene, cfg.motion or None)
     cell = cfg.viewcell()
     frustum = build_viewcell_frustum(cell)
-    fcfg = FroxelizeConfig(supersample=cfg.supersample, mode="ortho")
+    fcfg = FroxelizeConfig(supersample=cfg.supersample)
     geometry = froxelize(scene, frustum, cfg.dims, fcfg)
     gt = compute_gt_pvs(scene, cell, cfg.dims,
                         OracleConfig(viewpoints=cfg.viewpoints, seed=cfg.seed),
@@ -262,9 +272,8 @@ def cmd_train(cfg: RunConfig) -> int:
     net, history = train(train_pairs, ModelConfig.default(cfg.d), cfg.train_config(),
                          eval_pairs=eval_pairs, checkpoint_path=cfg.out,
                          log_path=log_path, verbose=True)
-    last = history[-1] if history else {}
-    print(f"checkpoint -> {cfg.out}  (epochs {len(history)}, "
-          f"final loss {last.get('loss', float('nan')):.5g})")
+    print(json.dumps({"checkpoint": cfg.out, "epochs": len(history),
+                      "loss": history[-1]["loss"] if history else None}))
     return EXIT_OK
 
 
@@ -291,7 +300,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         cell = cfg.viewcell()
         frustum = build_viewcell_frustum(cell)
         id_map = froxel_id_map(scene, frustum, pred.dims,
-                               FroxelizeConfig(supersample=cfg.supersample, mode="ortho"))
+                               FroxelizeConfig(supersample=cfg.supersample))
         per = pixel_error_rate(scene, cell.camera_at(cell.center), pred, id_map)
     record = froxel_metrics(pred, gt, per=per)
     write_metrics_csv(cfg.out, [record])
@@ -303,7 +312,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     _require(cfg, "out")
     scene, cell = generate_scene(cfg.scene_config())
     frustum = build_viewcell_frustum(cell)
-    fcfg = FroxelizeConfig(supersample=cfg.supersample, mode="perspective")
+    fcfg = FroxelizeConfig(supersample=cfg.supersample)
     if cfg.checkpoint:
         net = PvsNet.load(cfg.checkpoint)
     else:

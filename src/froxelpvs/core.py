@@ -346,13 +346,6 @@ class Frustum:
         inside = (vals >= -eps).all(axis=1)
         return bool(inside[0]) if np.ndim(points) == 1 else inside
 
-    def world_aabb(self):
-        """Axis-aligned bounds of the eight frustum corners."""
-        uvw = np.array([[u, v, w] for u in (0, 1) for v in (0, 1) for w in (0, 1)],
-                       dtype=np.float64)
-        corners = unproject_ndc(self, uvw)
-        return corners.min(axis=0), corners.max(axis=0)
-
 
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Frustum, TriScene, project_points
+from .core import Frustum, TriScene
 
 FPVS_MAGIC = b"FPVS"
 FPVS_VERSION = 1
@@ -47,20 +47,16 @@ def quantize(uvw, dims):
 class FroxelizeConfig:
     """Controls scene rasterization into a froxel grid.
 
-    ``supersample`` multiplies the rasterization resolution; ``mode``
-    selects the fast perspective path or the orthographic three-view
-    reprojection path used when building training data.
+    ``supersample`` multiplies the rasterization resolution; ``depth_mode``
+    picks linear or logarithmic depth layers.
     """
 
     supersample: int = 4
-    mode: str = "perspective"     # "perspective" | "ortho"
     depth_mode: str = "linear"
 
     def __post_init__(self):
         if self.supersample < 1:
             raise ValueError("supersample factor must be >= 1")
-        if self.mode not in ("perspective", "ortho"):
-            raise ValueError(f"unknown froxelize mode {self.mode!r}")
 
 
 class FroxelGrid:
@@ -381,8 +377,12 @@ def screen_triangles(scene: TriScene, origin: np.ndarray, basis: np.ndarray,
     return np.stack([u, v], axis=2), 1.0 / zc, src
 
 
-def _perspective_fragments(scene: TriScene, frustum: Frustum, dims, cfg: FroxelizeConfig):
-    nx, ny, nz = dims
+def _fragment_stream(scene: TriScene, frustum: Frustum, dims, cfg: FroxelizeConfig):
+    """Rasterize the scene through the frustum at the supersampled froxel
+    resolution; yields chunks ``(froxel indices (N, 3), source triangle)``."""
+    nx, ny, nz = dims = tuple(int(d) for d in dims)
+    if nx % 8 != 0:
+        raise ValueError(f"N_x must be divisible by 8, got {nx}")
     s = cfg.supersample
     sx, sy = s * nx, s * ny
     tris2d, invz, src = screen_triangles(scene, frustum._o, frustum._basis,
@@ -402,42 +402,6 @@ def _perspective_fragments(scene: TriScene, frustum: Frustum, dims, cfg: Froxeli
         uvw = np.column_stack([(px[keep] + 0.5) / sx, (py[keep] + 0.5) / sy, w[keep]])
         idx = quantize(uvw, dims)
         yield idx, src[tri[keep]]
-
-
-def _ortho_fragments(scene: TriScene, frustum: Frustum, dims, cfg: FroxelizeConfig):
-    """Three axis-aligned orthographic passes over the frustum's world AABB,
-    each covered sample point reprojected into the frustum."""
-    lo, hi = frustum.world_aabb()
-    extent = hi - lo
-    spacing = extent.max() / (cfg.supersample * max(dims))
-    counts = np.maximum(np.ceil(extent / spacing).astype(np.int64), 1)
-    tv = scene.triangle_vertices()
-    if len(tv) == 0:
-        return
-    tmin = tv.min(axis=1)
-    tmax = tv.max(axis=1)
-    live = np.nonzero(((tmax >= lo) & (tmin <= hi)).all(axis=1))[0]
-    for a0, a1, ar in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
-        tris2d = (tv[live][:, :, [a0, a1]] - lo[[a0, a1]]) / spacing
-        attrs = tv[live][:, :, ar]
-        for tri, su, sv, b1, b2 in iter_raster_chunks(
-                tris2d, int(counts[a0]), int(counts[a1])):
-            world = np.empty((len(su), 3))
-            world[:, a0] = lo[a0] + (su + 0.5) * spacing
-            world[:, a1] = lo[a1] + (sv + 0.5) * spacing
-            world[:, ar] = interp_affine(attrs[tri], b1, b2)
-            uvw, inside = project_points(frustum, world, cfg.depth_mode)
-            if not inside.any():
-                continue
-            yield quantize(uvw[inside], dims), live[tri[inside]]
-
-
-def _fragment_stream(scene, frustum, dims, cfg):
-    nx = int(dims[0])
-    if nx % 8 != 0:
-        raise ValueError(f"N_x must be divisible by 8, got {nx}")
-    gen = _perspective_fragments if cfg.mode == "perspective" else _ortho_fragments
-    return gen(scene, frustum, tuple(int(d) for d in dims), cfg)
 
 
 def froxelize(scene: TriScene, frustum: Frustum, dims,

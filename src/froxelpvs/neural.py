@@ -3,9 +3,10 @@ descent.
 
 The network maps an interleaved geometry tensor to per-froxel visibility
 probabilities. Layers are 3D cross-correlations with zero padding (spatial
-dims preserved) and hand-derived backward passes. Training runs in float64
-so gradients check out against central finite differences; inference runs
-in float32 by shifted-GEMM accumulation, without an im2col buffer.
+dims preserved) and hand-derived backward passes. One kernel serves both
+uses: k^3 shifted GEMMs into one accumulator, without an im2col buffer.
+Training runs it in float64, so gradients check out against central finite
+differences; inference runs it in float32.
 
 Losses follow the conventional confusion-count reading: on soft predictions
 p and binary ground truth g, TP = sum(p*g), FP = sum(p*(1-g)),
@@ -14,6 +15,7 @@ FN = sum((1-p)*g), GTP = sum(g).
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -185,62 +187,43 @@ class Conv3d:
             w[(k ** 3) // 2, j, j] += gain
         self.w = w.reshape(k ** 3 * cin, cout)
 
-    def _cols(self, x: np.ndarray) -> np.ndarray:
+    def _windows(self, shape):
+        """Per kernel offset, in weight-row order, the index of its input
+        window within the padded input."""
         k = self.spec.kernel
-        p = k // 2
-        bsz, d, h, w, c = x.shape
-        xpad = np.pad(x, ((0, 0), (p, p), (p, p), (p, p), (0, 0)))
-        cols = np.empty((bsz, d, h, w, k ** 3, c))
-        j = 0
-        for a in range(k):
-            for b in range(k):
-                for cc in range(k):
-                    cols[..., j, :] = xpad[:, a:a + d, b:b + h, cc:cc + w, :]
-                    j += 1
-        return cols
-
-    def _shifted_gemm(self, x: np.ndarray) -> np.ndarray:
-        """Float32 pre-activation as k^3 shifted GEMMs into one accumulator.
-
-        Kernel-to-row accumulation (Vasudevan, Anderson & Gregg, ASAP 2017):
-        each kernel offset multiplies one shifted copy of the padded input by
-        its (C_in, C_out) weight slice, so the k^3 * C_in column buffer of
-        :meth:`_cols` is never built.
-        """
-        k = self.spec.kernel
-        p = k // 2
-        bsz, d, h, w, cin = x.shape
-        cout = self.spec.out_channels
-        xpad = np.pad(x.astype(np.float32, copy=False),
-                      ((0, 0), (p, p), (p, p), (p, p), (0, 0)))
-        taps = self.w.astype(np.float32).reshape(k ** 3, cin, cout)
-        shifted = np.empty((bsz, d, h, w, cin), dtype=np.float32)
-        z = np.empty((bsz * d * h * w, cout), dtype=np.float32)
-        prod = np.empty_like(z)
-        z[:] = self.b
-        for j, (a, b, cc) in enumerate(np.ndindex(k, k, k)):
-            np.copyto(shifted, xpad[:, a:a + d, b:b + h, cc:cc + w, :])
-            np.matmul(shifted.reshape(-1, cin), taps[j], out=prod)
-            z += prod
-        return z.reshape(bsz, d, h, w, cout)
+        _, d, h, w, _ = shape
+        for a, b, c in np.ndindex(k, k, k):
+            yield np.s_[:, a:a + d, b:b + h, c:c + w, :]
 
     def forward(self, x: np.ndarray, keep_cache: bool = False):
         """Returns the activation output, plus a backward cache when asked.
 
-        Without a cache the layer runs in float32 (:meth:`_shifted_gemm`);
-        with one it runs in float64 over the im2col columns that
-        :meth:`backward` reuses.
+        The pre-activation is k^3 shifted GEMMs into one accumulator
+        (kn2row; Vasudevan, Anderson & Gregg, ASAP 2017): each kernel offset
+        multiplies its window of the once-padded input by its (C_in, C_out)
+        weight slice, so no k^3 * C_in column buffer is built. Without a
+        cache the layer runs in float32; with one it runs in float64 and
+        keeps the padded input for :meth:`backward`.
         """
         if x.ndim != 5 or x.shape[4] != self.spec.in_channels:
             raise ValueError(
                 f"expected (B, D, H, W, {self.spec.in_channels}) input, got {x.shape}")
-        if keep_cache:
-            cols = self._cols(x)
-            bsz, d, h, w = x.shape[:4]
-            z = cols.reshape(-1, self.w.shape[0]) @ self.w + self.b
-            z = z.reshape(bsz, d, h, w, self.spec.out_channels)
-        else:
-            z = self._shifted_gemm(x)
+        dtype = np.float64 if keep_cache else np.float32
+        k = self.spec.kernel
+        p = k // 2
+        bsz, d, h, w, cin = x.shape
+        cout = self.spec.out_channels
+        xpad = np.pad(x.astype(dtype, copy=False), ((0, 0), (p, p), (p, p), (p, p), (0, 0)))
+        taps = self.w.astype(dtype, copy=False).reshape(k ** 3, cin, cout)
+        shifted = np.empty(x.shape, dtype=dtype)
+        z = np.empty((bsz * d * h * w, cout), dtype=dtype)
+        prod = np.empty_like(z)
+        z[:] = self.b
+        for j, win in enumerate(self._windows(x.shape)):
+            np.copyto(shifted, xpad[win])
+            np.matmul(shifted.reshape(-1, cin), taps[j], out=prod)
+            z += prod
+        z = z.reshape(bsz, d, h, w, cout)
         act = self.spec.activation
         if act == "relu":
             y = np.maximum(z, 0.0)
@@ -250,13 +233,17 @@ class Conv3d:
             y = z
         if not keep_cache:
             return y
-        return y, (cols, z, y, x.shape)
+        return y, (xpad, z, y, x.shape)
 
     def backward(self, dy: np.ndarray, cache):
-        """Gradients of the scalar loss w.r.t. (input, weights, bias)."""
+        """Gradients of the scalar loss w.r.t. (input, weights, bias).
+
+        Walks the same k^3 windows as :meth:`forward`: per offset j,
+        ``dw[j] = window_j^T dz`` and ``dxpad[window_j] += dz w_j^T``.
+        """
         if cache is None:
             raise ValueError("backward requires the forward cache")
-        cols, z, y, xshape = cache
+        xpad, z, y, xshape = cache
         act = self.spec.activation
         if act == "relu":
             dz = dy * (z > 0)
@@ -266,21 +253,19 @@ class Conv3d:
             dz = dy
         k = self.spec.kernel
         p = k // 2
-        bsz, d, h, w, cin = xshape
+        _, d, h, w, cin = xshape
         cout = self.spec.out_channels
         flat_dz = dz.reshape(-1, cout)
-        dw = cols.reshape(-1, self.w.shape[0]).T @ flat_dz
-        db = flat_dz.sum(axis=0)
-        dcols = (flat_dz @ self.w.T).reshape(bsz, d, h, w, k ** 3, cin)
-        dxpad = np.zeros((bsz, d + 2 * p, h + 2 * p, w + 2 * p, cin))
-        j = 0
-        for a in range(k):
-            for b in range(k):
-                for cc in range(k):
-                    dxpad[:, a:a + d, b:b + h, cc:cc + w, :] += dcols[..., j, :]
-                    j += 1
+        taps = self.w.reshape(k ** 3, cin, cout)
+        dw = np.empty_like(taps)
+        dxpad = np.zeros_like(xpad)
+        shifted = np.empty(xshape)
+        for j, win in enumerate(self._windows(xshape)):
+            np.copyto(shifted, xpad[win])
+            dw[j] = shifted.reshape(-1, cin).T @ flat_dz
+            dxpad[win] += (flat_dz @ taps[j].T).reshape(xshape)
         dx = dxpad[:, p:p + d, p:p + h, p:p + w, :]
-        return dx, dw, db
+        return dx, dw.reshape(k ** 3 * cin, cout), flat_dz.sum(axis=0)
 
 
 class PvsNet:
@@ -486,7 +471,8 @@ def train(pairs, mcfg: ModelConfig, tcfg: TrainConfig, eval_pairs=None,
     Returns ``(net, history)`` where history holds one dict per epoch with
     the mean combined loss and hard FNR/FPR at threshold tau (plus held-out
     rates when ``eval_pairs`` is given). Training stops early once both
-    held-out targets are met. Deterministic for a fixed seed.
+    held-out targets are met. Deterministic for a fixed seed. With
+    ``verbose`` each epoch's dict goes to stdout as one JSON line.
     """
     if isinstance(pairs, (str, Path)):
         pairs = load_pairs(pairs)
@@ -531,8 +517,7 @@ def train(pairs, mcfg: ModelConfig, tcfg: TrainConfig, eval_pairs=None,
             entry["val_fnr"], entry["val_fpr"] = evaluate_pairs(net, ev[0], ev[1], tcfg.tau)
         history.append(entry)
         if verbose:
-            print("  ".join(f"{k}={v:.5g}" if isinstance(v, float) else f"{k}={v}"
-                            for k, v in entry.items()))
+            print(json.dumps(entry), flush=True)
         if (ev is not None and target_fnr is not None and target_fpr is not None
                 and entry["val_fnr"] <= target_fnr and entry["val_fpr"] <= target_fpr):
             break

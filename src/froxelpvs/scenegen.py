@@ -397,13 +397,15 @@ def generate_dataset(cfg: SceneGenConfig, n_frames: int, out_dir,
     """Write ``n_frames`` (geometry, gt) grid pairs plus a manifest.
 
     The manifest is line-oriented: ``index seed geometry_path gt_path``.
-    Every pair is validated for the PVS-subset-of-geometry property before
+    Each geometry grid is the run-time ``froxelize(scene, frustum, dims,
+    fcfg)`` grid with the frame's ground truth OR-ed in. Every pair is
+    validated for the PVS-subset-of-geometry property before
     it is written.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ocfg = ocfg or OracleConfig()
-    fcfg = fcfg or FroxelizeConfig(mode="ortho")
+    fcfg = fcfg or FroxelizeConfig()
     lines = ["# froxelpvs dataset: index seed geometry gt"]
     records = []
     for i in range(n_frames):

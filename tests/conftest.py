@@ -12,6 +12,10 @@ from froxelpvs.scenegen import primitive_mesh
 
 ACCEPTANCE_RESULTS = []
 
+# froxelize depth modes; linear depth keeps the test id "perspective" it has
+# always had
+DEPTH_MODES = [pytest.param("linear", id="perspective"), pytest.param("log", id="log")]
+
 
 @contextlib.contextmanager
 def criterion(name: str):

@@ -9,7 +9,7 @@ from froxelpvs.evalrt import cull, froxel_metrics
 from froxelpvs.froxel import FroxelGrid, FroxelizeConfig, _fragment_stream, froxel_id_map
 from froxelpvs.scenegen import SceneGenConfig, generate_scene
 
-from conftest import default_cell
+from conftest import DEPTH_MODES, default_cell
 
 
 def reference_id_map(scene, frustum, dims, cfg):
@@ -34,11 +34,11 @@ def _scene(seed):
 
 
 class TestIdMapAndCull:
-    @pytest.mark.parametrize("mode", ["perspective", "ortho"])
+    @pytest.mark.parametrize("depth_mode", DEPTH_MODES)
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_matches_reference_loop(self, seed, mode, rng):
+    def test_matches_reference_loop(self, seed, depth_mode, rng):
         scene, frustum = _scene(seed)
-        cfg = FroxelizeConfig(supersample=2, mode=mode)
+        cfg = FroxelizeConfig(supersample=2, depth_mode=depth_mode)
         mapping = froxel_id_map(scene, frustum, (32, 16, 24), cfg)
         ref = reference_id_map(scene, frustum, (32, 16, 24), cfg)
         assert mapping and mapping == ref

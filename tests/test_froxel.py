@@ -8,7 +8,7 @@ from froxelpvs.froxel import (_DEGEN_EPS, FroxelGrid, FroxelizeConfig,
                               clip_triangles_halfspace, froxel_id_map, froxelize,
                               iter_raster_chunks, quantize, screen_triangles)
 
-from conftest import default_cell, quad_at
+from conftest import DEPTH_MODES, default_cell, quad_at
 
 
 class TestQuantize:
@@ -165,9 +165,12 @@ def _exact_frustum():
                    90.0, 2.0, 18.0)
 
 
-def _full_span_quad_scene(frustum, w: float):
+def _full_span_quad_scene(frustum, w: float, depth_mode: str = "linear"):
     """Quad at fractional depth w covering the whole frustum cross-section."""
-    z = frustum.near + w * (frustum.far - frustum.near)
+    if depth_mode == "linear":
+        z = frustum.near + w * (frustum.far - frustum.near)
+    else:
+        z = frustum.near * (frustum.far / frustum.near) ** w
     half = 1.2 * z * frustum.half_extent
     verts, tris = quad_at(z, half, half)
     world = frustum._o + verts @ frustum._basis
@@ -179,9 +182,7 @@ class TestFroxelize:
         cell = default_cell()
         frustum = build_viewcell_frustum(cell)
         scene = TriScene(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
-        for mode in ("perspective", "ortho"):
-            grid = froxelize(scene, frustum, (16, 16, 16), FroxelizeConfig(mode=mode))
-            assert grid.occupied_count() == 0
+        assert froxelize(scene, frustum, (16, 16, 16)).occupied_count() == 0
 
     def test_rejects_bad_dims(self):
         cell = default_cell()
@@ -190,13 +191,16 @@ class TestFroxelize:
         with pytest.raises(ValueError):
             froxelize(scene, frustum, (15, 16, 16))
 
-    @pytest.mark.parametrize("mode", ["perspective", "ortho"])
-    def test_full_span_quad_single_layer(self, mode):
-        """A full-cross-section quad at w=0.5 fills exactly layer iz=8 of 16."""
+    @pytest.mark.parametrize("depth_mode", DEPTH_MODES)
+    def test_full_span_quad_single_layer(self, depth_mode):
+        """A full-cross-section quad fills exactly layer iz=8 of 16: at its
+        lower boundary w=0.5 in linear depth (exact there), at its centre in
+        log depth."""
         frustum = _exact_frustum()
-        scene = _full_span_quad_scene(frustum, 0.5)
+        w = 0.5 if depth_mode == "linear" else 8.5 / 16
+        scene = _full_span_quad_scene(frustum, w, depth_mode)
         grid = froxelize(scene, frustum, (16, 16, 16),
-                         FroxelizeConfig(supersample=4, mode=mode))
+                         FroxelizeConfig(supersample=4, depth_mode=depth_mode))
         dense = grid.to_dense()
         assert dense[:, :, 8].all()
         dense[:, :, 8] = False
@@ -242,9 +246,9 @@ class TestFroxelize:
                 seed=seed, count_range=(2, 5), floor=False, wall=False))
             frustum = build_viewcell_frustum(cell)
             lo = froxelize(scene, frustum, (16, 16, 16),
-                           FroxelizeConfig(supersample=1, mode="perspective"))
+                           FroxelizeConfig(supersample=1))
             hi = froxelize(scene, frustum, (16, 16, 16),
-                           FroxelizeConfig(supersample=3, mode="perspective"))
+                           FroxelizeConfig(supersample=3))
             assert lo.subset_of(hi), f"seed {seed}"
 
     def test_outside_triangles_contribute_nothing(self):
@@ -277,12 +281,12 @@ class TestIdMap:
         mapping = froxel_id_map(scene, frustum, (16, 16, 16))
         assert any(ids == {1, 2} for ids in mapping.values())
 
-    @pytest.mark.parametrize("mode", ["perspective", "ortho"])
-    def test_key_set_matches_froxelize(self, mode):
+    @pytest.mark.parametrize("depth_mode", DEPTH_MODES)
+    def test_key_set_matches_froxelize(self, depth_mode):
         from froxelpvs.scenegen import SceneGenConfig, generate_scene
         scene, cell = generate_scene(SceneGenConfig(seed=5, count_range=(3, 6)))
         frustum = build_viewcell_frustum(cell)
-        cfg = FroxelizeConfig(supersample=2, mode=mode)
+        cfg = FroxelizeConfig(supersample=2, depth_mode=depth_mode)
         grid = froxelize(scene, frustum, (16, 16, 16), cfg)
         mapping = froxel_id_map(scene, frustum, (16, 16, 16), cfg)
         from_map = FroxelGrid((16, 16, 16))

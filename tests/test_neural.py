@@ -7,7 +7,7 @@ import pytest
 from froxelpvs.froxel import FroxelGrid, froxelize
 from froxelpvs.interleave import ChannelTensor, deinterleave, interleave
 from froxelpvs.neural import ACTIVATIONS, Conv3d, ConvSpec, ModelConfig, PvsNet, \
-    TrainConfig, combined_loss, dice_loss, predict_pvs, rvl_loss
+    TrainConfig, combined_loss, dice_loss, predict_pvs, rvl_loss, train
 
 BAND = 1e-5     # |p - tau| below this may flip between float32 and float64
 
@@ -77,7 +77,51 @@ class TestPredictPvs:
         assert steps.bits.tobytes() == predict_pvs(grid, net).bits.tobytes()
 
 
+def _cols_reference(x, k):
+    """im2col: per cell, its k^3 input windows in weight-row order
+    (a*k + b)*k + c, each C_in wide."""
+    p = k // 2
+    bsz, d, h, w, c = x.shape
+    xpad = np.pad(x, ((0, 0), (p, p), (p, p), (p, p), (0, 0)))
+    cols = np.empty((bsz, d, h, w, k ** 3, c))
+    for j, (a, b, cc) in enumerate(np.ndindex(k, k, k)):
+        cols[..., j, :] = xpad[:, a:a + d, b:b + h, cc:cc + w, :]
+    return cols
+
+
+def _im2col_reference(layer, x, dz):
+    """Pre-activation ``cols @ w + b`` and its (dx, dw, db), with the column
+    gradient scattered back into the padded input."""
+    k = layer.spec.kernel
+    p = k // 2
+    bsz, d, h, w, cin = x.shape
+    cols = _cols_reference(x, k).reshape(-1, k ** 3 * cin)
+    z = (cols @ layer.w + layer.b).reshape(dz.shape)
+    flat_dz = dz.reshape(-1, dz.shape[-1])
+    dcols = (flat_dz @ layer.w.T).reshape(bsz, d, h, w, k ** 3, cin)
+    dxpad = np.zeros((bsz, d + 2 * p, h + 2 * p, w + 2 * p, cin))
+    for j, (a, b, cc) in enumerate(np.ndindex(k, k, k)):
+        dxpad[:, a:a + d, b:b + h, cc:cc + w, :] += dcols[..., j, :]
+    dx = dxpad[:, p:p + d, p:p + h, p:p + w, :]
+    return z, (dx, cols.T @ flat_dz, flat_dz.sum(axis=0))
+
+
 class TestConv3dGradients:
+    @pytest.mark.parametrize("bsz", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_matches_im2col_reference(self, k, bsz, rng):
+        """The shifted-GEMM kernel computes what im2col does, so checkpoints
+        keep the (a*k + b)*k + c weight-row layout."""
+        layer = _layer(k, 3, 4, "none", seed=k)
+        x = rng.normal(0.0, 1.0, (bsz, 4, 5, 6, 3))
+        dz = rng.normal(0.0, 1.0, (bsz, 4, 5, 6, 4))
+        y, cache = layer.forward(x, keep_cache=True)
+        got = layer.backward(dz, cache)
+        z, want = _im2col_reference(layer, x, dz)
+        assert y.dtype == np.float64
+        for a, b in zip((y,) + got, (z,) + want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
     @pytest.mark.parametrize("act", ACTIVATIONS)
     def test_backward_matches_central_differences(self, act, rng):
         layer = _layer(3, 2, 3, act, seed=7)
@@ -227,3 +271,23 @@ class TestCheckpointFile:
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(ValueError, match="truncated"):
             PvsNet.load(path)
+
+
+class TestTraining:
+    def test_deterministic_for_a_fixed_seed(self, rng):
+        pairs = []
+        for _ in range(3):
+            geo = rng.random((8, 8, 8)) < 0.3
+            gt = geo & (rng.random(geo.shape) < 0.5)
+            pairs.append((FroxelGrid.from_dense(geo),
+                          FroxelGrid.from_dense(gt, role="gt_pvs")))
+        mcfg = ModelConfig.default(2, hidden=8)
+        tcfg = TrainConfig(epochs=3, batch_size=2, lr=1e-2, seed=5)
+        net_a, hist_a = train(pairs, mcfg, tcfg)
+        net_b, hist_b = train(pairs, mcfg, tcfg)
+        assert len(hist_a) == 3 and hist_a == hist_b
+        for a, b in zip(net_a.layers, net_b.layers):
+            assert a.w.dtype == np.float64
+            assert np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
+        net_c, _ = train(pairs, mcfg, TrainConfig(epochs=3, batch_size=2, lr=1e-2, seed=6))
+        assert not np.array_equal(net_a.layers[0].w, net_c.layers[0].w)

@@ -111,10 +111,9 @@ class TestComputeGtPvs:
         for seed in (0, 1):
             scene, cell = generate_scene(SceneGenConfig(seed=seed))
             frustum = build_viewcell_frustum(cell)
-            fcfg = FroxelizeConfig(mode="ortho")
-            geo = froxelize(scene, frustum, (16, 16, 16), fcfg)
+            geo = froxelize(scene, frustum, (16, 16, 16))
             gt = compute_gt_pvs(scene, cell, (16, 16, 16),
-                                OracleConfig(viewpoints=16), fcfg, geometry=geo)
+                                OracleConfig(viewpoints=16), geometry=geo)
             assert gt.subset_of(geo)
             assert gt.occupied_count() > 0
 
@@ -186,8 +185,7 @@ class TestRayCastOracle:
         verts = np.array([[-2.0, 0.0, 8.0], [2.0, 0.0, 8.0], [0.0, 3.0, 8.0]])
         scene = TriScene(verts, np.array([[0, 1, 2]]))
         grid = ray_cast_pvs(scene, cell, (16, 16, 16), 4, OracleConfig(viewpoints=8))
-        geo = froxelize(scene, frustum, (16, 16, 16),
-                        FroxelizeConfig(supersample=8, mode="ortho"))
+        geo = froxelize(scene, frustum, (16, 16, 16), FroxelizeConfig(supersample=8))
         assert grid.occupied_count() > 0
         assert grid.subset_of(geo)
 
@@ -216,27 +214,23 @@ def test_pfm_dump(tmp_path):
     assert np.array_equal(back, img)
 
 
-# sha256 digests recorded with the bbox-enumerating rasterizer and a per-camera
-# oracle bit-set; speed-ups of either must keep every bit.
-# seed: (gt bits, geometry bits with the gt OR-ed in) at 16^3, 16 viewpoints
+# sha256 digests of outputs that speed-ups must keep bit for bit.
+# seed: (gt bits at 16^3 with 16 viewpoints, froxelize bits at 16^3)
 GOLDEN_GT = {
     1: ("0875cc33dacd1a07bea742ba2b23dd980db10c3c756af3ce9ca6e7f30eab8ed3",
-        "76e18520d49281212b563e19fed62e61096b1765f400207512ab763ebebd0af6"),
+        "47be75f4ffd9d55288956550630d62a4bfb5f100fc7222240a6e1d45430d66e2"),
     2: ("08c74f79e26b722542936a4d6a32fbe94cf3e3c7d1b4254a3b8080cc9e4a164f",
-        "ad402a986bc1f2a6351f8071d47cb83e009ccdd3b249b0eb4c157929a905e98c"),
+        "a1c87d530e1a69d8a6cf70d9821abde2d7fe3671a9f05230ed2e338b00f1f1a7"),
     3: ("005a72f853e036e13ce8f9ede5bd3975dc433043fd9e2391388a0e5ca811fdea",
-        "67ca5fbbeb1cffcfad222033bfa93b5cfe36b48ee7519eeceb939acfbc6955e0"),
+        "815df136f8705ad36dbb96115781954ca87a28513c231cfa176fd26e3967e5e8"),
 }
-# seed: (perspective froxelize bits, ortho froxelize bits, id map items) at 32^3
+# seed: (froxelize bits, id map items) at 32^3
 GOLDEN_FROXELIZE = {
     1: ("4a22b5218fc41e0eb9862b02c805cfdb10f9844086de692361f1cbf17d3ac268",
-        "6f07185f46afec853264fbdb1d00f0ed555eb720fbba4c54865a801387fb72eb",
         "cb05b003d32317fe552c6c774e79d9905bb366e623a76073138013a35be7505f"),
     2: ("f756f814cacf630fe88c2aeeac6be11d0748510450a9f14d8be568f0c7d9cda7",
-        "2dd1d4801b8660c79ce972dafe78625e88cdfee8effcff4fd25b8090ce8412b2",
         "4d20cd1c5f8e73a1250e1042939b0ca96f7d1bfd566339ab845eb96476c142f6"),
     3: ("92a06e8b36a389e8101e60ce4439934de58bd2c9dcfa5bd9bf541bdd86d4af6f",
-        "6f35995b3ff49c0df8e0cdd09820420f1cd5dce615f4509306cda2f4f1725604",
         "d20f4e451e2b928abb0094ac95bf17e9424b963ff8af7ae1468e344f9b42887c"),
 }
 
@@ -254,18 +248,17 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize("seed", sorted(GOLDEN_GT))
     def test_compute_gt_pvs_bits(self, seed):
         scene, cell = generate_scene(SceneGenConfig(seed=seed))
-        fcfg = FroxelizeConfig(mode="ortho")
-        geo = froxelize(scene, build_viewcell_frustum(cell), (16, 16, 16), fcfg)
+        geo = froxelize(scene, build_viewcell_frustum(cell), (16, 16, 16))
+        merged = geo.copy()
         gt = compute_gt_pvs(scene, cell, (16, 16, 16), OracleConfig(viewpoints=16),
-                            fcfg, geometry=geo)
+                            geometry=merged)
         assert (_sha(gt.bits.tobytes()), _sha(geo.bits.tobytes())) == GOLDEN_GT[seed]
+        assert merged == geo | gt
 
     @pytest.mark.parametrize("seed", sorted(GOLDEN_FROXELIZE))
     def test_froxelize_and_id_map(self, seed):
         scene, cell = generate_scene(SceneGenConfig(seed=seed))
         frustum = build_viewcell_frustum(cell)
-        got = tuple(_sha(froxelize(scene, frustum, (32, 32, 32),
-                                   FroxelizeConfig(mode=mode)).bits.tobytes())
-                    for mode in ("perspective", "ortho"))
-        got += (_id_map_digest(froxel_id_map(scene, frustum, (32, 32, 32))),)
+        got = (_sha(froxelize(scene, frustum, (32, 32, 32)).bits.tobytes()),
+               _id_map_digest(froxel_id_map(scene, frustum, (32, 32, 32))))
         assert got == GOLDEN_FROXELIZE[seed]
