@@ -1,14 +1,13 @@
 """From-region potentially visible sets on froxel grids."""
 
 from .core import (Camera, Frustum, SceneBuilder, SceneObject, TriScene, Vec3,
-                   ViewCell, build_viewcell_frustum, load_motion_table, load_scene,
+                   ViewCell, build_viewcell_frustum, depth_to_w, load_scene,
                    project_points, project_to_ndc, reproject, save_scene,
                    unproject_ndc)
-from .froxel import FroxelGrid, FroxelizeConfig, froxel_id_map, froxelize, quantize
+from .froxel import FroxelGrid, froxel_id_map, froxelize, quantize
 from .interleave import ChannelTensor, deinterleave, interleave
 from .oracle import (DepthBuffer, OracleConfig, compute_gt_pvs, ray_cast_pvs,
                      render_depth, sample_viewpoints)
-from .scenegen import (SceneGenConfig, generate_dataset, generate_scene,
-                       make_primitive, read_manifest)
+from .scenegen import SceneGenConfig, generate_dataset, generate_scene, read_manifest
 
 __version__ = "0.1.0"

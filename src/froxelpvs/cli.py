@@ -17,14 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import TriScene, Vec3, ViewCell, build_viewcell_frustum, load_scene
-from .froxel import FroxelGrid, FroxelizeConfig, froxel_id_map, froxelize
+from .core import Vec3, ViewCell, build_viewcell_frustum, load_scene
+from .froxel import FroxelGrid, froxel_id_map, froxelize
 from .interleave import ChannelTensor, deinterleave, interleave
 from .neural import ModelConfig, PvsNet, TrainConfig, TrainingDiverged, load_pairs, \
     predict_pvs, train
 from .oracle import OracleConfig, compute_gt_pvs
 from .scenegen import DatasetError, SceneGenConfig, generate_dataset, generate_scene
-from .evalrt import MetricsRecord, froxel_metrics, pixel_error_rate, write_metrics_csv
+from .evalrt import froxel_metrics, pixel_error_rate, write_metrics_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,7 +53,6 @@ class RunConfig:
     near: float = 0.3
     far: float = 20.0
     d: int = 4
-    supersample: int = 4
     viewpoints: int = 128
     seed: int = 0
     frames: int = 200
@@ -69,7 +68,6 @@ class RunConfig:
     cell_yaw: float = 0.0
     out: str = ""
     scene: str = ""
-    motion: str = ""
     manifest: str = ""
     checkpoint: str = ""
     geometry: str = ""
@@ -108,7 +106,7 @@ _CASTS = {
     "dims": lambda s: _parse_triple(s, int),
     "cell_center": lambda s: _parse_triple(s, float),
     "radius": float, "fov": float, "beta": float, "near": float, "far": float,
-    "d": int, "supersample": int, "viewpoints": int, "seed": int, "frames": int,
+    "d": int, "viewpoints": int, "seed": int, "frames": int,
     "epochs": int, "batch": int, "holdout": int,
     "lr": float, "decay": float, "alpha": float, "lam": float, "tau": float,
     "cell_yaw": float,
@@ -154,7 +152,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--near", help="near plane (m)")
         p.add_argument("--far", help="far plane (m)")
         p.add_argument("--d", help="interleave factor")
-        p.add_argument("--supersample", help="rasterization supersampling factor")
         p.add_argument("--viewpoints", help="viewpoints per cell for ground truth")
         p.add_argument("--seed", help="RNG seed")
         p.add_argument("--tau", help="decision threshold")
@@ -167,7 +164,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--frames", help="number of frames")
 
     p = sub.add_parser("gt", help="ground-truth PVS for a scene file")
-    common(p, paths=("scene", "motion", "geometry_out"))
+    common(p, paths=("scene", "geometry_out"))
     p.add_argument("--cell-center", help="viewcell center x,y,z")
     p.add_argument("--cell-yaw", help="viewcell yaw (deg)")
 
@@ -231,22 +228,18 @@ def cmd_gen_dataset(cfg: RunConfig) -> int:
         raise UsageError(f"froxelpvs gen-dataset: --frames must be at least 1, got {cfg.frames}")
     manifest = generate_dataset(
         cfg.scene_config(), cfg.frames, cfg.out, dims=cfg.dims,
-        ocfg=OracleConfig(viewpoints=cfg.viewpoints, seed=cfg.seed),
-        fcfg=FroxelizeConfig(supersample=cfg.supersample))
+        ocfg=OracleConfig(viewpoints=cfg.viewpoints, seed=cfg.seed))
     print(f"wrote {cfg.frames} frame pairs, manifest {manifest}")
     return EXIT_OK
 
 
 def cmd_gt(cfg: RunConfig) -> int:
     _require(cfg, "scene", "out")
-    scene = load_scene(cfg.scene, cfg.motion or None)
+    scene = load_scene(cfg.scene)
     cell = cfg.viewcell()
-    frustum = build_viewcell_frustum(cell)
-    fcfg = FroxelizeConfig(supersample=cfg.supersample)
-    geometry = froxelize(scene, frustum, cfg.dims, fcfg)
     gt = compute_gt_pvs(scene, cell, cfg.dims,
-                        OracleConfig(viewpoints=cfg.viewpoints, seed=cfg.seed),
-                        fcfg, geometry=geometry)
+                        OracleConfig(viewpoints=cfg.viewpoints, seed=cfg.seed))
+    geometry = froxelize(scene, build_viewcell_frustum(cell), cfg.dims) | gt
     if not gt.subset_of(geometry):
         print("validation failed: ground truth escapes the geometry grid", file=sys.stderr)
         return EXIT_VALIDATION
@@ -259,6 +252,8 @@ def cmd_gt(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     _require(cfg, "manifest", "out")
+    if cfg.holdout < 0:
+        raise UsageError(f"froxelpvs train: --holdout must be at least 0, got {cfg.holdout}")
     pairs = load_pairs(cfg.manifest)
     if cfg.holdout >= len(pairs):
         raise UsageError("holdout must leave at least one training pair")
@@ -296,11 +291,9 @@ def cmd_eval(cfg: RunConfig) -> int:
         return EXIT_VALIDATION
     per = 0.0
     if cfg.scene:
-        scene = load_scene(cfg.scene, cfg.motion or None)
+        scene = load_scene(cfg.scene)
         cell = cfg.viewcell()
-        frustum = build_viewcell_frustum(cell)
-        id_map = froxel_id_map(scene, frustum, pred.dims,
-                               FroxelizeConfig(supersample=cfg.supersample))
+        id_map = froxel_id_map(scene, build_viewcell_frustum(cell), pred.dims)
         per = pixel_error_rate(scene, cell.camera_at(cell.center), pred, id_map)
     record = froxel_metrics(pred, gt, per=per)
     write_metrics_csv(cfg.out, [record])
@@ -312,7 +305,6 @@ def cmd_bench(cfg: RunConfig) -> int:
     _require(cfg, "out")
     scene, cell = generate_scene(cfg.scene_config())
     frustum = build_viewcell_frustum(cell)
-    fcfg = FroxelizeConfig(supersample=cfg.supersample)
     if cfg.checkpoint:
         net = PvsNet.load(cfg.checkpoint)
     else:
@@ -320,7 +312,7 @@ def cmd_bench(cfg: RunConfig) -> int:
                      np.random.Generator(np.random.PCG64(cfg.seed)))
 
     t0 = time.perf_counter()
-    grid = froxelize(scene, frustum, cfg.dims, fcfg)
+    grid = froxelize(scene, frustum, cfg.dims)
     t1 = time.perf_counter()
     tensor = interleave(grid.to_dense().astype(np.float64), net.cfg.d)
     t2 = time.perf_counter()

@@ -6,8 +6,8 @@ Conventions used throughout the package:
 * A camera basis is an orthonormal (right, up, forward) triple.
 * Normalized device coordinates (u, v, w) live in [0, 1]^3 with u along
   the camera's right axis, v along up (row 0 of an image buffer is the
-  bottom scanline), and w the depth axis mapped linearly from the near
-  plane (w=0) to the far plane (w=1).
+  bottom scanline), and w the depth axis mapped from the near plane (w=0)
+  to the far plane (w=1) by :func:`depth_to_w`, linearly by default.
 """
 
 from __future__ import annotations
@@ -90,12 +90,11 @@ def rotate_about(v: Vec3, axis: Vec3, angle_deg: float) -> Vec3:
 
 @dataclass
 class SceneObject:
-    """A contiguous triangle range with an optional constant velocity (m/s)."""
+    """A named contiguous triangle range."""
 
     name: str
     tri_start: int
     tri_stop: int
-    velocity: Vec3 | None = None
 
 
 class TriScene:
@@ -145,7 +144,7 @@ class TriScene:
                 continue
             idx = np.nonzero(kept)[0] + obj.tri_start
             remapped.append(SceneObject(obj.name, int(new_index[idx[0]]),
-                                        int(new_index[idx[-1]]) + 1, obj.velocity))
+                                        int(new_index[idx[-1]]) + 1))
         return remapped
 
     def __len__(self) -> int:
@@ -166,11 +165,6 @@ class TriScene:
         mask = np.isin(self.primitive_ids, keep_ids)
         return TriScene(self.vertices, self.triangles[mask], self.primitive_ids[mask])
 
-    def object_aabb(self, obj: SceneObject):
-        tris = self.triangles[obj.tri_start:obj.tri_stop]
-        pts = self.vertices[np.unique(tris)]
-        return pts.min(axis=0), pts.max(axis=0)
-
 
 class SceneBuilder:
     """Accumulates mesh fragments into one TriScene with per-triangle ids."""
@@ -182,12 +176,12 @@ class SceneBuilder:
         self._nv = 0
         self._nt = 0
 
-    def add(self, name: str, vertices, triangles, velocity: Vec3 | None = None):
+    def add(self, name: str, vertices, triangles):
         vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
         triangles = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
         self._verts.append(vertices)
         self._tris.append(triangles + self._nv)
-        self._objects.append(SceneObject(name, self._nt, self._nt + len(triangles), velocity))
+        self._objects.append(SceneObject(name, self._nt, self._nt + len(triangles)))
         self._nv += len(vertices)
         self._nt += len(triangles)
 
@@ -370,6 +364,16 @@ def build_viewcell_frustum(cell: ViewCell) -> Frustum:
 # Projection / reprojection
 # ---------------------------------------------------------------------------
 
+def depth_to_w(frustum: Frustum, z, depth_mode: str):
+    """Normalized depth w of positive forward depths ``z``: 0 on the near
+    plane, 1 on the far plane, linear or logarithmic in z."""
+    if depth_mode == "linear":
+        return (z - frustum.near) / (frustum.far - frustum.near)
+    if depth_mode == "log":
+        return np.log(z / frustum.near) / math.log(frustum.far / frustum.near)
+    raise ValueError(f"unknown depth mode {depth_mode!r}")
+
+
 def project_points(frustum: Frustum, points, depth_mode: str = "linear"):
     """Project world points into the frustum's NDC cube.
 
@@ -377,8 +381,6 @@ def project_points(frustum: Frustum, points, depth_mode: str = "linear"):
     boolean mask. Points behind the origin are flagged outside; their uvw
     values are unspecified.
     """
-    if depth_mode not in ("linear", "log"):
-        raise ValueError(f"unknown depth mode {depth_mode!r}")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     d = pts - frustum._o
     local = d @ frustum._basis.T          # columns: x (right), y (up), z (forward)
@@ -388,11 +390,7 @@ def project_points(frustum: Frustum, points, depth_mode: str = "linear"):
     h = frustum.half_extent
     u = 0.5 + 0.5 * x / (zsafe * h)
     v = 0.5 + 0.5 * y / (zsafe * h)
-    if depth_mode == "linear":
-        w = (z - frustum.near) / (frustum.far - frustum.near)
-    else:
-        w = np.log(np.where(ahead, z, frustum.near) / frustum.near) \
-            / math.log(frustum.far / frustum.near)
+    w = depth_to_w(frustum, zsafe, depth_mode)
     uvw = np.column_stack([u, v, w])
     inside = ahead & (u >= 0) & (u <= 1) & (v >= 0) & (v <= 1) & (w >= 0) & (w <= 1)
     return uvw, inside
@@ -460,12 +458,11 @@ def reproject(camera: Camera, frustum: Frustum, pixel, depth: float,
 # Scene file I/O
 # ---------------------------------------------------------------------------
 
-def load_scene(path, motion_path=None) -> TriScene:
+def load_scene(path) -> TriScene:
     """Load a Wavefront-style ASCII mesh (v/f records, 1-based indices).
 
     Named groups (``g``) delimit objects; faces with more than three vertices
-    are fan-triangulated. An optional sidecar table assigns per-object
-    velocities (see :func:`load_motion_table`).
+    are fan-triangulated.
     """
     verts = []
     tris = []
@@ -495,28 +492,9 @@ def load_scene(path, motion_path=None) -> TriScene:
             current = (parts[1] if len(parts) > 1 else f"group{len(objects)}", len(tris))
     _close(len(tris))
 
-    scene = TriScene(np.asarray(verts, dtype=np.float64).reshape(-1, 3),
-                     np.asarray(tris, dtype=np.int64).reshape(-1, 3),
-                     objects=objects)
-    if motion_path is not None:
-        table = load_motion_table(motion_path)
-        for obj in scene.objects:
-            if obj.name in table:
-                obj.velocity = table[obj.name]
-    return scene
-
-
-def load_motion_table(path) -> dict:
-    """Sidecar motion table: one ``name vx vy vz`` record per line."""
-    table = {}
-    for line in Path(path).read_text().splitlines():
-        parts = line.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        if len(parts) != 4:
-            raise ValueError(f"bad motion record: {line!r}")
-        table[parts[0]] = Vec3(float(parts[1]), float(parts[2]), float(parts[3]))
-    return table
+    return TriScene(np.asarray(verts, dtype=np.float64).reshape(-1, 3),
+                    np.asarray(tris, dtype=np.int64).reshape(-1, 3),
+                    objects=objects)
 
 
 def save_scene(path, scene: TriScene):

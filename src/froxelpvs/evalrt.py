@@ -1,8 +1,8 @@
 """Quantitative evaluation and the PVS consumption side.
 
 Covers froxel-space confusion metrics, the image-space pixel error rate,
-primitive culling from a froxel PVS, the far-field union pass, and temporal
-bounding volumes for dynamic occludees.
+primitive culling from a froxel PVS and the map that
+:func:`~froxelpvs.froxel.froxel_id_map` builds, and the metrics CSV report.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Camera, Frustum, TriScene, Vec3, ViewCell, build_viewcell_frustum, \
-    unproject_ndc
-from .froxel import FroxelGrid, froxel_id_map
+from .core import Camera, TriScene
+from .froxel import FroxelGrid
 from .oracle import render_depth
 
 
@@ -81,98 +80,6 @@ def pixel_error_rate(scene: TriScene, camera: Camera, pvs: FroxelGrid,
     return float((full.prim != culled.prim).mean())
 
 
-def far_field_merge(scene: TriScene, cell: ViewCell, pvs: FroxelGrid,
-                    id_map: dict, threshold_distance: float,
-                    resolution=(256, 256)) -> set:
-    """Near-field culled set unioned with ids seen beyond the threshold.
-
-    Renders one depth+id pass over the enlarged frustum; primitives whose
-    nearest visible fragment lies farther than ``threshold_distance`` from
-    the cell center are always kept.
-    """
-    if not (cell.near < threshold_distance < cell.far):
-        raise ValueError("threshold must lie within the cell's (near, far) range")
-    frustum = build_viewcell_frustum(cell)
-    eye = Camera(frustum.origin, frustum.forward, frustum.up, frustum.right,
-                 frustum.fov_deg, frustum.near, frustum.far)
-    buf = render_depth(scene, eye, resolution)
-    # depth is measured from the displaced origin; shift to cell-center range
-    far_mask = (buf.prim >= 0) & (buf.depth - cell.displacement > threshold_distance)
-    far_ids = set(int(i) for i in np.unique(buf.prim[far_mask]))
-    return cull(scene, pvs, id_map) | far_ids
-
-
-# ---------------------------------------------------------------------------
-# Temporal bounding volumes
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TBV:
-    """World-space box enclosing a moving object over [t0, t1]."""
-
-    object_id: int
-    t0: float
-    t1: float
-    box_min: np.ndarray
-    box_max: np.ndarray
-
-
-def tbv_build(box_min, box_max, velocity, t0: float, t1: float,
-              object_id: int = 0) -> TBV:
-    """Sweep a constant-velocity AABB over a time span.
-
-    The result is the union of the boxes at t0 and t1, which contains the
-    box at every intermediate time for linear motion.
-    """
-    if t1 < t0:
-        raise ValueError("need t1 >= t0")
-    lo = np.asarray(box_min, dtype=np.float64)
-    hi = np.asarray(box_max, dtype=np.float64)
-    if (hi < lo).any():
-        raise ValueError("box_max must dominate box_min")
-    v = velocity.as_array() if isinstance(velocity, Vec3) else np.asarray(velocity, float)
-    shift = v * (t1 - t0)
-    return TBV(object_id, t0, t1, np.minimum(lo, lo + shift), np.maximum(hi, hi + shift))
-
-
-def froxel_world_bounds(frustum: Frustum, dims):
-    """Conservative world AABB per froxel, from its eight cell corners.
-
-    Returns (mins, maxs) arrays of shape (N_x, N_y, N_z, 3).
-    """
-    nx, ny, nz = (int(d) for d in dims)
-    us = np.arange(nx + 1) / nx
-    vs = np.arange(ny + 1) / ny
-    ws = np.arange(nz + 1) / nz
-    gu, gv, gw = np.meshgrid(us, vs, ws, indexing="ij")
-    corners = unproject_ndc(frustum, np.column_stack([gu.ravel(), gv.ravel(), gw.ravel()]))
-    corners = corners.reshape(nx + 1, ny + 1, nz + 1, 3)
-    mins = np.full((nx, ny, nz, 3), np.inf)
-    maxs = np.full((nx, ny, nz, 3), -np.inf)
-    for a in (0, 1):
-        for b in (0, 1):
-            for c in (0, 1):
-                block = corners[a:a + nx, b:b + ny, c:c + nz]
-                np.minimum(mins, block, out=mins)
-                np.maximum(maxs, block, out=maxs)
-    return mins, maxs
-
-
-def tbv_test(tbv: TBV, frustum: Frustum, dims, pvs: FroxelGrid,
-             bounds=None) -> bool:
-    """True iff the TBV overlaps any PVS-marked froxel.
-
-    Froxel coverage is conservative (cell-corner AABB overlap), so enlarging
-    the box can only keep or grow the covered set. ``bounds`` accepts a
-    precomputed :func:`froxel_world_bounds` result.
-    """
-    if pvs.dims != tuple(int(d) for d in dims):
-        raise ValueError("pvs dims do not match")
-    mins, maxs = bounds if bounds is not None else froxel_world_bounds(frustum, dims)
-    overlap = ((mins <= tbv.box_max) & (maxs >= tbv.box_min)).all(axis=3)
-    return bool((overlap & pvs.to_dense()).any())
-
-
 # ---------------------------------------------------------------------------
 # Report files
 # ---------------------------------------------------------------------------
@@ -197,6 +104,6 @@ def read_metrics_csv(path) -> list:
         f = row.split(",")
         records.append(MetricsRecord(int(f[0]), float(f[1]), float(f[2]), float(f[3]),
                                      int(f[4]), int(f[5]), int(f[6]), int(f[7]),
-                                     float(f[8]), float(f[9])))
+                                     float(f[8]), float(f[9]), gtp_zero=int(f[7]) == 0))
     return records
 

@@ -11,11 +11,10 @@ froxel-to-primitive map, and the oracle's depth buffers.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Frustum, TriScene
+from .core import Frustum, TriScene, depth_to_w
 
 FPVS_MAGIC = b"FPVS"
 FPVS_VERSION = 1
@@ -25,6 +24,7 @@ ROLE_TAGS = ("geometry", "gt_pvs", "predicted_pvs")
 _DEGEN_EPS = 1e-12
 _MAX_PAIRS = 4_000_000
 _SPAN_ULPS = 16      # bound on the inside test's rounding, in eps of its operands
+SUPERSAMPLE = 4      # raster samples per froxel along x and along y
 
 
 def quantize(uvw, dims):
@@ -43,26 +43,10 @@ def quantize(uvw, dims):
     return idx[0] if scalar else idx
 
 
-@dataclass
-class FroxelizeConfig:
-    """Controls scene rasterization into a froxel grid.
-
-    ``supersample`` multiplies the rasterization resolution; ``depth_mode``
-    picks linear or logarithmic depth layers.
-    """
-
-    supersample: int = 4
-    depth_mode: str = "linear"
-
-    def __post_init__(self):
-        if self.supersample < 1:
-            raise ValueError("supersample factor must be >= 1")
-
-
 class FroxelGrid:
     """Binary occupancy over an N_x x N_y x N_z frustum-aligned grid."""
 
-    def __init__(self, dims, role: str = "geometry", supersample: int = 1, bits=None):
+    def __init__(self, dims, role: str = "geometry", bits=None):
         nx, ny, nz = (int(d) for d in dims)
         if nx <= 0 or ny <= 0 or nz <= 0:
             raise ValueError("grid dims must be positive")
@@ -72,7 +56,6 @@ class FroxelGrid:
             raise ValueError(f"unknown role {role!r}")
         self.dims = (nx, ny, nz)
         self.role = role
-        self.supersample = int(supersample)
         nbytes = (nx // 8) * ny * nz
         if bits is None:
             self.bits = np.zeros(nbytes, dtype=np.uint8)
@@ -134,11 +117,11 @@ class FroxelGrid:
         return np.ascontiguousarray(dense.transpose(2, 1, 0))
 
     @classmethod
-    def from_dense(cls, dense, role: str = "geometry", supersample: int = 1) -> "FroxelGrid":
+    def from_dense(cls, dense, role: str = "geometry") -> "FroxelGrid":
         dense = np.asarray(dense).astype(bool)
         if dense.ndim != 3:
             raise ValueError("dense occupancy must be 3-dimensional")
-        grid = cls(dense.shape, role=role, supersample=supersample)
+        grid = cls(dense.shape, role=role)
         packed = np.packbits(dense.transpose(2, 1, 0), axis=2, bitorder="little")
         grid.bits = np.ascontiguousarray(packed.reshape(-1))
         return grid
@@ -150,22 +133,14 @@ class FroxelGrid:
         nx, ny, nz = self.dims
         return self.occupied_count() / float(nx * ny * nz)
 
-    def occupied_coords(self) -> np.ndarray:
-        """Integer (N, 3) coordinates of all set froxels."""
-        xs, ys, zs = np.nonzero(self.to_dense())
-        return np.column_stack([xs, ys, zs]).astype(np.int64)
-
     # -- set algebra ---------------------------------------------------------
-    def copy(self) -> "FroxelGrid":
-        return FroxelGrid(self.dims, self.role, self.supersample, self.bits.copy())
-
     def __or__(self, other: "FroxelGrid") -> "FroxelGrid":
         self._match(other)
-        return FroxelGrid(self.dims, self.role, self.supersample, self.bits | other.bits)
+        return FroxelGrid(self.dims, self.role, self.bits | other.bits)
 
     def __and__(self, other: "FroxelGrid") -> "FroxelGrid":
         self._match(other)
-        return FroxelGrid(self.dims, self.role, self.supersample, self.bits & other.bits)
+        return FroxelGrid(self.dims, self.role, self.bits & other.bits)
 
     def subset_of(self, other: "FroxelGrid") -> bool:
         """True iff every set froxel here is also set in ``other`` (bit-exact)."""
@@ -183,10 +158,12 @@ class FroxelGrid:
                 and np.array_equal(self.bits, other.bits))
 
     # -- file format ----------------------------------------------------------
+    # Header: magic, version, N_x, N_y, N_z (u32 little-endian), role tag
+    # (byte 20), then three reserved bytes, written as 0 and ignored on load;
+    # files that keep a supersampling factor in byte 21 still load.
     def save(self, path):
-        header = FPVS_MAGIC + struct.pack("<IIIIBBxx", FPVS_VERSION, *self.dims,
-                                          ROLE_TAGS.index(self.role),
-                                          self.supersample & 0xFF)
+        header = FPVS_MAGIC + struct.pack("<IIIIBxxx", FPVS_VERSION, *self.dims,
+                                          ROLE_TAGS.index(self.role))
         with open(path, "wb") as fh:
             fh.write(header)
             fh.write(self.bits.tobytes())
@@ -199,7 +176,7 @@ class FroxelGrid:
             raise ValueError(f"{path}: not an FPVS grid file")
         if len(raw) < FPVS_HEADER:
             raise ValueError(f"{path}: truncated FPVS header")
-        version, nx, ny, nz, role, ss = struct.unpack_from("<IIIIBB", raw, 4)
+        version, nx, ny, nz, role = struct.unpack_from("<IIIIB", raw, 4)
         if version != FPVS_VERSION:
             raise ValueError(f"{path}: unsupported FPVS version {version}")
         if role >= len(ROLE_TAGS):
@@ -209,7 +186,7 @@ class FroxelGrid:
             raise ValueError(f"{path}: payload holds {len(raw) - FPVS_HEADER} bytes, "
                              f"dims {(nx, ny, nz)} need {nbytes}")
         payload = np.frombuffer(raw, dtype=np.uint8, offset=FPVS_HEADER)
-        return cls((nx, ny, nz), ROLE_TAGS[role], ss, payload.copy())
+        return cls((nx, ny, nz), ROLE_TAGS[role], payload.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -377,21 +354,18 @@ def screen_triangles(scene: TriScene, origin: np.ndarray, basis: np.ndarray,
     return np.stack([u, v], axis=2), 1.0 / zc, src
 
 
-def _fragment_stream(scene: TriScene, frustum: Frustum, dims, cfg: FroxelizeConfig):
-    """Rasterize the scene through the frustum at the supersampled froxel
-    resolution; yields chunks ``(froxel indices (N, 3), source triangle)``."""
+def _fragment_stream(scene: TriScene, frustum: Frustum, dims, depth_mode: str = "linear"):
+    """Rasterize the scene through the frustum at ``SUPERSAMPLE`` times the
+    froxel resolution in x and y; yields chunks ``(froxel indices (N, 3),
+    source triangle)``."""
     nx, ny, nz = dims = tuple(int(d) for d in dims)
     if nx % 8 != 0:
         raise ValueError(f"N_x must be divisible by 8, got {nx}")
-    s = cfg.supersample
-    sx, sy = s * nx, s * ny
+    sx, sy = SUPERSAMPLE * nx, SUPERSAMPLE * ny
     tris2d, invz, src = screen_triangles(scene, frustum._o, frustum._basis,
                                          frustum.half_extent, frustum.near,
                                          frustum.far, sx, sy)
-    if cfg.depth_mode == "linear":
-        wv = (1.0 / invz - frustum.near) / (frustum.far - frustum.near)
-    else:
-        wv = np.log(1.0 / (invz * frustum.near)) / np.log(frustum.far / frustum.near)
+    wv = depth_to_w(frustum, 1.0 / invz, depth_mode)
     for tri, px, py, b1, b2 in iter_raster_chunks(tris2d, sx, sy):
         inv = interp_affine(invz[tri], b1, b2)
         # perspective-corrected weights keep depth exact on constant-z faces
@@ -405,17 +379,21 @@ def _fragment_stream(scene: TriScene, frustum: Frustum, dims, cfg: FroxelizeConf
 
 
 def froxelize(scene: TriScene, frustum: Frustum, dims,
-              cfg: FroxelizeConfig | None = None) -> FroxelGrid:
-    """Rasterize a triangle scene into a binary geometry grid."""
-    cfg = cfg or FroxelizeConfig()
-    grid = FroxelGrid(dims, role="geometry", supersample=cfg.supersample)
-    for idx, _src in _fragment_stream(scene, frustum, grid.dims, cfg):
+              depth_mode: str = "linear") -> FroxelGrid:
+    """Rasterize a triangle scene into a binary geometry grid.
+
+    A froxel is set when a raster sample lands in it; samples sit at pixel
+    centers of a ``SUPERSAMPLE``-times finer image of the frustum, and each
+    sample's depth ``w`` comes from :func:`~froxelpvs.core.depth_to_w`.
+    """
+    grid = FroxelGrid(dims, role="geometry")
+    for idx, _src in _fragment_stream(scene, frustum, grid.dims, depth_mode):
         grid._set_unchecked(idx[:, 0], idx[:, 1], idx[:, 2])
     return grid
 
 
 def froxel_id_map(scene: TriScene, frustum: Frustum, dims,
-                  cfg: FroxelizeConfig | None = None) -> dict:
+                  depth_mode: str = "linear") -> dict:
     """Map each covered froxel to the set of primitive ids touching it.
 
     Shares the fragment traversal with :func:`froxelize`, so the key set
@@ -423,9 +401,8 @@ def froxel_id_map(scene: TriScene, frustum: Frustum, dims,
     fragment becomes one scalar key ``flat * span + (pid - min_pid)``; one
     sort deduplicates them and groups them by froxel.
     """
-    cfg = cfg or FroxelizeConfig()
     nx, ny, nz = (int(d) for d in dims)
-    stream = _fragment_stream(scene, frustum, (nx, ny, nz), cfg)
+    stream = _fragment_stream(scene, frustum, (nx, ny, nz), depth_mode)
     pids = scene.primitive_ids
     if len(pids) == 0:
         return {}

@@ -37,10 +37,6 @@ class ChannelTensor:
     def channels(self) -> int:
         return self.values.shape[3]
 
-    @property
-    def grid_dims(self) -> tuple:
-        return tuple(s * self.d for s in self.values.shape[:3])
-
 
 def _as_dense(grid) -> np.ndarray:
     if isinstance(grid, FroxelGrid):

@@ -463,15 +463,13 @@ def evaluate_pairs(net: PvsNet, x: np.ndarray, y: np.ndarray, tau: float):
 
 
 def train(pairs, mcfg: ModelConfig, tcfg: TrainConfig, eval_pairs=None,
-          target_fnr: float | None = None, target_fpr: float | None = None,
           checkpoint_path=None, log_path=None, verbose: bool = False):
     """Mini-batch gradient descent over dataset pairs.
 
     ``pairs`` is a manifest path or a list of (geometry, gt) FroxelGrids.
     Returns ``(net, history)`` where history holds one dict per epoch with
     the mean combined loss and hard FNR/FPR at threshold tau (plus held-out
-    rates when ``eval_pairs`` is given). Training stops early once both
-    held-out targets are met. Deterministic for a fixed seed. With
+    rates when ``eval_pairs`` is given). Deterministic for a fixed seed. With
     ``verbose`` each epoch's dict goes to stdout as one JSON line.
     """
     if isinstance(pairs, (str, Path)):
@@ -518,9 +516,6 @@ def train(pairs, mcfg: ModelConfig, tcfg: TrainConfig, eval_pairs=None,
         history.append(entry)
         if verbose:
             print(json.dumps(entry), flush=True)
-        if (ev is not None and target_fnr is not None and target_fpr is not None
-                and entry["val_fnr"] <= target_fnr and entry["val_fpr"] <= target_fpr):
-            break
     if checkpoint_path is not None:
         net.save(checkpoint_path)
     if log_path is not None:
@@ -544,6 +539,4 @@ def predict_pvs(grid: FroxelGrid, net, tau: float = 0.5) -> FroxelGrid:
     if x.shape[4] != net.cfg.layers[0].in_channels:
         raise ValueError("grid/channel mismatch against the checkpoint")
     y = net.forward(x)[0]
-    out = deinterleave(ChannelTensor(y, d), d, threshold=tau)
-    out.supersample = grid.supersample
-    return out
+    return deinterleave(ChannelTensor(y, d), d, threshold=tau)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .core import Camera, TriScene, ViewCell, build_viewcell_frustum, \
     project_points, reproject_fragments
-from .froxel import FroxelGrid, FroxelizeConfig, interp_affine, iter_raster_chunks, \
-    quantize, screen_triangles
+from .froxel import FroxelGrid, interp_affine, iter_raster_chunks, quantize, \
+    screen_triangles
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -61,9 +61,6 @@ class DepthBuffer:
     @property
     def resolution(self) -> tuple:
         return self.depth.shape[1], self.depth.shape[0]
-
-    def coverage(self) -> float:
-        return float(np.isfinite(self.depth).mean())
 
 
 def _vdc(i: int) -> float:
@@ -141,19 +138,18 @@ def render_depth(scene: TriScene, camera: Camera, resolution) -> DepthBuffer:
 
 
 def compute_gt_pvs(scene: TriScene, cell: ViewCell, dims, ocfg: OracleConfig,
-                   fcfg: FroxelizeConfig | None = None,
-                   geometry: FroxelGrid | None = None,
+                   depth_mode: str = "linear",
                    cameras: list | None = None) -> FroxelGrid:
     """Ground-truth PVS grid: OR of reprojected depth fragments over all
     sampled viewpoints.
 
-    When ``geometry`` is given, every marked fragment is also OR-ed into it,
-    which makes the PVS-subset-of-geometry property hold bit-exactly for
-    training pairs.
+    The result need not lie inside ``froxelize``'s grid, because the two
+    sample the scene at different points; training pairs take
+    ``froxelize(...) | gt`` as geometry, which holds the PVS-subset-of-geometry
+    property bit-exactly.
     """
-    fcfg = fcfg or FroxelizeConfig()
     frustum = build_viewcell_frustum(cell)
-    gt = FroxelGrid(dims, role="gt_pvs", supersample=fcfg.supersample)
+    gt = FroxelGrid(dims, role="gt_pvs")
     cams = cameras if cameras is not None else sample_viewpoints(cell, ocfg)
     res = ocfg.resolution_for(gt.dims)
     seen = np.zeros(gt.dims, dtype=bool)
@@ -163,13 +159,10 @@ def compute_gt_pvs(scene: TriScene, cell: ViewCell, dims, ocfg: OracleConfig,
         if len(rows) == 0:
             continue
         uvw, inside = reproject_fragments(cam, frustum, cols, rows,
-                                          buf.depth[rows, cols], res, fcfg.depth_mode)
+                                          buf.depth[rows, cols], res, depth_mode)
         x, y, z = quantize(uvw[inside], gt.dims).T
         seen[x, y, z] = True
-    coords = np.argwhere(seen)
-    gt.set_many(coords)
-    if geometry is not None:
-        geometry.set_many(coords)
+    gt.set_many(np.argwhere(seen))
     return gt
 
 

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SceneBuilder, TriScene, Vec3, ViewCell, build_viewcell_frustum
-from .froxel import FroxelGrid, FroxelizeConfig, froxelize
+from .core import SceneBuilder, Vec3, ViewCell, build_viewcell_frustum
+from .froxel import froxelize
 from .oracle import OracleConfig, compute_gt_pvs
 
 PRIMITIVE_KINDS = ("cube", "cone", "pyramid", "cylinder", "dodecahedron",
@@ -246,16 +246,6 @@ _FACTORIES = {
 }
 
 
-def make_primitive(kind: str) -> TriScene:
-    """Unit-sized mesh for one shape class, centered at the origin."""
-    if kind not in _FACTORIES:
-        raise ValueError(f"unknown primitive kind {kind!r}; expected one of {PRIMITIVE_KINDS}")
-    verts, tris = _FACTORIES[kind]()
-    builder = SceneBuilder()
-    builder.add(kind, verts, tris)
-    return builder.build()
-
-
 def primitive_mesh(kind: str):
     """Raw (vertices, triangles) arrays for one shape class."""
     if kind not in _FACTORIES:
@@ -392,28 +382,25 @@ def frame_seed(master_seed: int, index: int) -> int:
 
 
 def generate_dataset(cfg: SceneGenConfig, n_frames: int, out_dir,
-                     dims=(32, 32, 32), ocfg: OracleConfig | None = None,
-                     fcfg: FroxelizeConfig | None = None) -> Path:
+                     dims=(32, 32, 32), ocfg: OracleConfig | None = None) -> Path:
     """Write ``n_frames`` (geometry, gt) grid pairs plus a manifest.
 
     The manifest is line-oriented: ``index seed geometry_path gt_path``.
-    Each geometry grid is the run-time ``froxelize(scene, frustum, dims,
-    fcfg)`` grid with the frame's ground truth OR-ed in. Every pair is
-    validated for the PVS-subset-of-geometry property before
-    it is written.
+    Each geometry grid is ``froxelize(scene, frustum, dims) | gt``: the
+    run-time grid with the frame's ground truth OR-ed in. Every pair is
+    validated for the PVS-subset-of-geometry property before it is written.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ocfg = ocfg or OracleConfig()
-    fcfg = fcfg or FroxelizeConfig()
     lines = ["# froxelpvs dataset: index seed geometry gt"]
     records = []
     for i in range(n_frames):
         seed = frame_seed(cfg.seed, i)
         scene, cell = generate_scene(replace(cfg, seed=seed))
         frustum = build_viewcell_frustum(cell)
-        geometry = froxelize(scene, frustum, dims, fcfg)
-        gt = compute_gt_pvs(scene, cell, dims, ocfg, fcfg, geometry=geometry)
+        gt = compute_gt_pvs(scene, cell, dims, ocfg)
+        geometry = froxelize(scene, frustum, dims) | gt
         if not gt.subset_of(geometry):
             raise DatasetError(i, "ground truth escapes the geometry grid")
         geo_name, gt_name = f"geometry_{i:05d}.fpvs", f"gt_{i:05d}.fpvs"

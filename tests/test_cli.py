@@ -33,6 +33,15 @@ CASES = {
                                    "--gt", "{a}", "--out", "{out}"], EXIT_USAGE),
     "--frames 0": (["gen-dataset", "--frames", "0", "--out", "{data}"], EXIT_USAGE),
     "--frames -1": (["gen-dataset", "--frames", "-1", "--out", "{data}"], EXIT_USAGE),
+    "--holdout -1": (["train", "--holdout", "-1", "--manifest", "{missing}",
+                      "--out", "{out}"], EXIT_USAGE),
+    "--supersample is no flag": (["gen-dataset", "--supersample", "4", "--out", "{data}"],
+                                 EXIT_USAGE),
+    "--motion is no flag": (["gt", "--motion", "m.txt", "--scene", "{missing}",
+                             "--out", "{out}"], EXIT_USAGE),
+    "supersample is no config key": (
+        ["eval", "--config", "{supersample}", "--pred", "{a}", "--gt", "{a}",
+         "--out", "{out}"], EXIT_USAGE),
 }
 
 
@@ -42,12 +51,13 @@ def test_exit_code(case, tmp_path, capsys):
     paths = {"a": tmp_path / "a.fpvs", "b": tmp_path / "b.fpvs", "out": tmp_path / "m.csv",
              "missing": tmp_path / "missing.fpvw", "bad_key": tmp_path / "bad.cfg",
              "threshold": tmp_path / "threshold.cfg", "bad_value": tmp_path / "value.cfg",
-             "data": tmp_path / "data"}
+             "supersample": tmp_path / "supersample.cfg", "data": tmp_path / "data"}
     FroxelGrid((16, 16, 16)).save(paths["a"])
     FroxelGrid((8, 8, 8)).save(paths["b"])
     paths["bad_key"].write_text("no_such_key = 1\n")
     paths["threshold"].write_text("threshold_distance = 10\n")
     paths["bad_value"].write_text("seed = many\n")
+    paths["supersample"].write_text("supersample = 4\n")
     rc = main([arg.format(**paths) for arg in argv])
     assert rc == want
     assert "Traceback" not in capsys.readouterr().err

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from froxelpvs.core import (Camera, Frustum, TriScene, Vec3, ViewCell,
-                            build_viewcell_frustum, load_motion_table, load_scene,
+                            build_viewcell_frustum, load_scene,
                             project_points, project_to_ndc, reproject, save_scene,
                             unproject_ndc)
 
@@ -218,22 +218,6 @@ f 2 4 3
         path = tmp_path / "quad.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
         assert len(load_scene(path)) == 2
-
-    def test_motion_sidecar(self, tmp_path):
-        spath = tmp_path / "scene.obj"
-        spath.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\ng mover\nf 1 2 3\n")
-        mpath = tmp_path / "motion.txt"
-        mpath.write_text("# name vx vy vz\nmover 1.0 0 -2.0\n")
-        scene = load_scene(spath, mpath)
-        assert scene.objects[0].velocity == Vec3(1.0, 0.0, -2.0)
-        table = load_motion_table(mpath)
-        assert table["mover"].x == 1.0
-
-    def test_bad_motion_record_rejected(self, tmp_path):
-        mpath = tmp_path / "motion.txt"
-        mpath.write_text("mover 1.0 0\n")
-        with pytest.raises(ValueError):
-            load_motion_table(mpath)
 
 
 class TestCameraValidation:

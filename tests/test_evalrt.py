@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 from froxelpvs.core import TriScene, build_viewcell_frustum
-from froxelpvs.evalrt import cull, froxel_metrics
-from froxelpvs.froxel import FroxelGrid, FroxelizeConfig, _fragment_stream, froxel_id_map
+from froxelpvs.evalrt import (MetricsRecord, cull, froxel_metrics, read_metrics_csv,
+                              write_metrics_csv)
+from froxelpvs.froxel import FroxelGrid, _fragment_stream, froxel_id_map
 from froxelpvs.scenegen import SceneGenConfig, generate_scene
 
 from conftest import DEPTH_MODES, default_cell
 
 
-def reference_id_map(scene, frustum, dims, cfg):
+def reference_id_map(scene, frustum, dims, depth_mode="linear"):
     mapping = {}
-    for idx, src in _fragment_stream(scene, frustum, dims, cfg):
+    for idx, src in _fragment_stream(scene, frustum, dims, depth_mode=depth_mode):
         for coord, pid in zip(map(tuple, idx.tolist()), scene.primitive_ids[src].tolist()):
             mapping.setdefault(coord, set()).add(pid)
     return mapping
@@ -38,9 +39,8 @@ class TestIdMapAndCull:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_reference_loop(self, seed, depth_mode, rng):
         scene, frustum = _scene(seed)
-        cfg = FroxelizeConfig(supersample=2, depth_mode=depth_mode)
-        mapping = froxel_id_map(scene, frustum, (32, 16, 24), cfg)
-        ref = reference_id_map(scene, frustum, (32, 16, 24), cfg)
+        mapping = froxel_id_map(scene, frustum, (32, 16, 24), depth_mode=depth_mode)
+        ref = reference_id_map(scene, frustum, (32, 16, 24), depth_mode)
         assert mapping and mapping == ref
         assert list(mapping) == sorted(ref, key=lambda c: (c[2], c[1], c[0]))
         pvs = FroxelGrid.from_dense(rng.random((32, 16, 24)) < 0.4)
@@ -52,9 +52,8 @@ class TestIdMapAndCull:
         scene, frustum = _scene(4)
         pids = np.where(np.arange(len(scene)) % 2, -1000, 7 * np.arange(len(scene)))
         scene = TriScene(scene.vertices, scene.triangles, primitive_ids=pids)
-        cfg = FroxelizeConfig()
-        mapping = froxel_id_map(scene, frustum, (16, 16, 16), cfg)
-        assert mapping == reference_id_map(scene, frustum, (16, 16, 16), cfg)
+        mapping = froxel_id_map(scene, frustum, (16, 16, 16))
+        assert mapping == reference_id_map(scene, frustum, (16, 16, 16))
         assert -1000 in set().union(*mapping.values())
 
     def test_empty_scene(self):
@@ -86,3 +85,18 @@ def test_froxel_metrics_counts(rng):
         int((pred_d & gt_d).sum()), int((pred_d & ~gt_d).sum()),
         int((~pred_d & gt_d).sum()), int(gt_d.sum()))
     assert rec.fnr == rec.fn / rec.gtp and rec.fpr == rec.fp / rec.gtp
+
+
+def test_metrics_csv_round_trip(tmp_path):
+    records = [MetricsRecord(0, 0.25, 0.125, 0.0625, 30, 5, 10, 40, 12.5, 340.25),
+               MetricsRecord(1, 0.0, 0.0, 0.5, 0, 3, 0, 0, 1.5, 2.0, gtp_zero=True)]
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(path, records)
+    assert read_metrics_csv(path) == records
+
+
+def test_metrics_csv_wrong_header_rejected(tmp_path):
+    path = tmp_path / "metrics.csv"
+    path.write_text("frame,fnr,fpr\n0,0.5,0.25\n")
+    with pytest.raises(ValueError):
+        read_metrics_csv(path)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from froxelpvs.core import Camera, TriScene, Vec3, build_viewcell_frustum
-from froxelpvs.froxel import FroxelizeConfig, froxel_id_map, froxelize
+from froxelpvs.froxel import froxel_id_map, froxelize
 from froxelpvs.oracle import (OracleConfig, compute_gt_pvs, ray_cast_pvs,
                               render_depth, sample_viewpoints, write_pfm)
 from froxelpvs.scenegen import SceneGenConfig, generate_scene
@@ -111,11 +111,21 @@ class TestComputeGtPvs:
         for seed in (0, 1):
             scene, cell = generate_scene(SceneGenConfig(seed=seed))
             frustum = build_viewcell_frustum(cell)
-            geo = froxelize(scene, frustum, (16, 16, 16))
-            gt = compute_gt_pvs(scene, cell, (16, 16, 16),
-                                OracleConfig(viewpoints=16), geometry=geo)
+            gt = compute_gt_pvs(scene, cell, (16, 16, 16), OracleConfig(viewpoints=16))
+            geo = froxelize(scene, frustum, (16, 16, 16)) | gt
             assert gt.subset_of(geo)
             assert gt.occupied_count() > 0
+
+    def test_unknown_depth_mode_rejected(self):
+        scene, cell = generate_scene(SceneGenConfig(seed=1))
+        frustum = build_viewcell_frustum(cell)
+        with pytest.raises(ValueError, match="depth mode"):
+            froxelize(scene, frustum, (16, 16, 16), depth_mode="bogus")
+        with pytest.raises(ValueError, match="depth mode"):
+            froxel_id_map(scene, frustum, (16, 16, 16), depth_mode="bogus")
+        with pytest.raises(ValueError, match="depth mode"):
+            compute_gt_pvs(scene, cell, (16, 16, 16), OracleConfig(viewpoints=2),
+                           depth_mode="bogus")
 
     def test_full_occluder_hides_everything_behind(self):
         """No gt froxel may sit strictly behind a full-cross-section occluder."""
@@ -185,7 +195,7 @@ class TestRayCastOracle:
         verts = np.array([[-2.0, 0.0, 8.0], [2.0, 0.0, 8.0], [0.0, 3.0, 8.0]])
         scene = TriScene(verts, np.array([[0, 1, 2]]))
         grid = ray_cast_pvs(scene, cell, (16, 16, 16), 4, OracleConfig(viewpoints=8))
-        geo = froxelize(scene, frustum, (16, 16, 16), FroxelizeConfig(supersample=8))
+        geo = froxelize(scene, frustum, (16, 16, 16))
         assert grid.occupied_count() > 0
         assert grid.subset_of(geo)
 
@@ -249,11 +259,8 @@ class TestGoldenOutputs:
     def test_compute_gt_pvs_bits(self, seed):
         scene, cell = generate_scene(SceneGenConfig(seed=seed))
         geo = froxelize(scene, build_viewcell_frustum(cell), (16, 16, 16))
-        merged = geo.copy()
-        gt = compute_gt_pvs(scene, cell, (16, 16, 16), OracleConfig(viewpoints=16),
-                            geometry=merged)
+        gt = compute_gt_pvs(scene, cell, (16, 16, 16), OracleConfig(viewpoints=16))
         assert (_sha(gt.bits.tobytes()), _sha(geo.bits.tobytes())) == GOLDEN_GT[seed]
-        assert merged == geo | gt
 
     @pytest.mark.parametrize("seed", sorted(GOLDEN_FROXELIZE))
     def test_froxelize_and_id_map(self, seed):
