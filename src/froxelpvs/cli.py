@@ -1,5 +1,5 @@
 """Command-line pipeline: dataset generation, ground truth, training,
-inference, evaluation, and stage benchmarks.
+inference, and evaluation.
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 validation failure.
 Options may come from a plain ``key=value`` config file (``--config``);
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -19,11 +18,10 @@ import numpy as np
 
 from .core import Vec3, ViewCell, build_viewcell_frustum, load_scene
 from .froxel import FroxelGrid, froxel_id_map, froxelize
-from .interleave import ChannelTensor, deinterleave, interleave
-from .neural import ModelConfig, PvsNet, TrainConfig, TrainingDiverged, load_pairs, \
+from .neural import ModelConfig, TrainConfig, TrainingDiverged, load_pairs, \
     predict_pvs, train
 from .oracle import OracleConfig, compute_gt_pvs
-from .scenegen import DatasetError, SceneGenConfig, generate_dataset, generate_scene
+from .scenegen import DatasetError, SceneGenConfig, generate_dataset
 from .evalrt import froxel_metrics, pixel_error_rate, write_metrics_csv
 
 EXIT_OK = 0
@@ -185,9 +183,6 @@ def _build_parser() -> _Parser:
     common(p, paths=("pred", "gt", "scene"))
     p.add_argument("--cell-center")
     p.add_argument("--cell-yaw")
-
-    p = sub.add_parser("bench", help="stage timing breakdown on a synthetic scene")
-    common(p, paths=("checkpoint",))
     return parser
 
 
@@ -228,7 +223,7 @@ def cmd_gen_dataset(cfg: RunConfig) -> int:
         raise UsageError(f"froxelpvs gen-dataset: --frames must be at least 1, got {cfg.frames}")
     manifest = generate_dataset(
         cfg.scene_config(), cfg.frames, cfg.out, dims=cfg.dims,
-        ocfg=OracleConfig(viewpoints=cfg.viewpoints, seed=cfg.seed))
+        ocfg=OracleConfig(viewpoints=cfg.viewpoints))
     print(f"wrote {cfg.frames} frame pairs, manifest {manifest}")
     return EXIT_OK
 
@@ -238,7 +233,7 @@ def cmd_gt(cfg: RunConfig) -> int:
     scene = load_scene(cfg.scene)
     cell = cfg.viewcell()
     gt = compute_gt_pvs(scene, cell, cfg.dims,
-                        OracleConfig(viewpoints=cfg.viewpoints, seed=cfg.seed))
+                        OracleConfig(viewpoints=cfg.viewpoints))
     geometry = froxelize(scene, build_viewcell_frustum(cell), cfg.dims) | gt
     if not gt.subset_of(geometry):
         print("validation failed: ground truth escapes the geometry grid", file=sys.stderr)
@@ -301,42 +296,12 @@ def cmd_eval(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    _require(cfg, "out")
-    scene, cell = generate_scene(cfg.scene_config())
-    frustum = build_viewcell_frustum(cell)
-    if cfg.checkpoint:
-        net = PvsNet.load(cfg.checkpoint)
-    else:
-        net = PvsNet(ModelConfig.default(cfg.d),
-                     np.random.Generator(np.random.PCG64(cfg.seed)))
-
-    t0 = time.perf_counter()
-    grid = froxelize(scene, frustum, cfg.dims)
-    t1 = time.perf_counter()
-    tensor = interleave(grid.to_dense().astype(np.float64), net.cfg.d)
-    t2 = time.perf_counter()
-    probs = net.forward(tensor.values[None])[0]
-    t3 = time.perf_counter()
-    deinterleave(ChannelTensor(probs, net.cfg.d), net.cfg.d, threshold=cfg.tau)
-    t4 = time.perf_counter()
-
-    stages = [("froxelize", (t1 - t0) * 1e3), ("interleave", (t2 - t1) * 1e3),
-              ("forward", (t3 - t2) * 1e3), ("deinterleave", (t4 - t3) * 1e3),
-              ("total", (t4 - t0) * 1e3)]
-    lines = ["stage,ms"] + [f"{name},{ms:.6g}" for name, ms in stages]
-    Path(cfg.out).write_text("\n".join(lines) + "\n")
-    print("  ".join(f"{name} {ms:.2f}ms" for name, ms in stages))
-    return EXIT_OK
-
-
 _COMMANDS = {
     "gen-dataset": cmd_gen_dataset,
     "gt": cmd_gt,
     "train": cmd_train,
     "infer": cmd_infer,
     "eval": cmd_eval,
-    "bench": cmd_bench,
 }
 
 

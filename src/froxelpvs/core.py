@@ -6,14 +6,14 @@ Conventions used throughout the package:
 * A camera basis is an orthonormal (right, up, forward) triple.
 * Normalized device coordinates (u, v, w) live in [0, 1]^3 with u along
   the camera's right axis, v along up (row 0 of an image buffer is the
-  bottom scanline), and w the depth axis mapped from the near plane (w=0)
-  to the far plane (w=1) by :func:`depth_to_w`, linearly by default.
+  bottom scanline), and w the depth axis, linear in forward depth z from
+  the near plane (w=0) to the far plane (w=1); :func:`depth_to_w` is the map.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -153,11 +153,6 @@ class TriScene:
     def triangle_vertices(self) -> np.ndarray:
         """Per-triangle vertex positions, shape (T, 3, 3)."""
         return self.vertices[self.triangles]
-
-    def aabb(self):
-        if len(self.vertices) == 0:
-            raise ValueError("empty scene has no bounds")
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def subset(self, keep_ids) -> "TriScene":
         """Scene restricted to triangles whose primitive id is in ``keep_ids``."""
@@ -364,17 +359,13 @@ def build_viewcell_frustum(cell: ViewCell) -> Frustum:
 # Projection / reprojection
 # ---------------------------------------------------------------------------
 
-def depth_to_w(frustum: Frustum, z, depth_mode: str):
-    """Normalized depth w of positive forward depths ``z``: 0 on the near
-    plane, 1 on the far plane, linear or logarithmic in z."""
-    if depth_mode == "linear":
-        return (z - frustum.near) / (frustum.far - frustum.near)
-    if depth_mode == "log":
-        return np.log(z / frustum.near) / math.log(frustum.far / frustum.near)
-    raise ValueError(f"unknown depth mode {depth_mode!r}")
+def depth_to_w(frustum: Frustum, z):
+    """Normalized depth w of forward depths ``z``: 0 on the near plane,
+    1 on the far plane, linear in z."""
+    return (z - frustum.near) / (frustum.far - frustum.near)
 
 
-def project_points(frustum: Frustum, points, depth_mode: str = "linear"):
+def project_points(frustum: Frustum, points):
     """Project world points into the frustum's NDC cube.
 
     Returns ``(uvw, inside)`` where uvw has shape (N, 3) and inside is a
@@ -390,29 +381,16 @@ def project_points(frustum: Frustum, points, depth_mode: str = "linear"):
     h = frustum.half_extent
     u = 0.5 + 0.5 * x / (zsafe * h)
     v = 0.5 + 0.5 * y / (zsafe * h)
-    w = depth_to_w(frustum, zsafe, depth_mode)
+    w = depth_to_w(frustum, zsafe)
     uvw = np.column_stack([u, v, w])
     inside = ahead & (u >= 0) & (u <= 1) & (v >= 0) & (v <= 1) & (w >= 0) & (w <= 1)
     return uvw, inside
 
 
-def project_to_ndc(frustum: Frustum, p: Vec3, depth_mode: str = "linear"):
-    """Scalar projection; returns an (u, v, w) tuple or None when outside."""
-    uvw, inside = project_points(frustum, p.as_array()[None, :], depth_mode)
-    if not inside[0]:
-        return None
-    return float(uvw[0, 0]), float(uvw[0, 1]), float(uvw[0, 2])
-
-
-def unproject_ndc(frustum: Frustum, uvw, depth_mode: str = "linear") -> np.ndarray:
+def unproject_ndc(frustum: Frustum, uvw) -> np.ndarray:
     """Inverse of :func:`project_points` for in-range coordinates."""
     uvw = np.asarray(uvw, dtype=np.float64).reshape(-1, 3)
-    if depth_mode == "linear":
-        z = frustum.near + uvw[:, 2] * (frustum.far - frustum.near)
-    elif depth_mode == "log":
-        z = frustum.near * np.exp(uvw[:, 2] * math.log(frustum.far / frustum.near))
-    else:
-        raise ValueError(f"unknown depth mode {depth_mode!r}")
+    z = frustum.near + uvw[:, 2] * (frustum.far - frustum.near)
     h = frustum.half_extent
     x = (2.0 * uvw[:, 0] - 1.0) * h * z
     y = (2.0 * uvw[:, 1] - 1.0) * h * z
@@ -437,21 +415,10 @@ def unproject_pixels(camera: Camera, px, py, depth, resolution) -> np.ndarray:
     return camera.position.as_array() + np.column_stack([x, y, z]) @ basis
 
 
-def reproject_fragments(camera: Camera, frustum: Frustum, px, py, depth,
-                        resolution, depth_mode: str = "linear"):
+def reproject_fragments(camera: Camera, frustum: Frustum, px, py, depth, resolution):
     """Unproject depth-buffer fragments and project them into ``frustum``."""
     world = unproject_pixels(camera, px, py, depth, resolution)
-    return project_points(frustum, world, depth_mode)
-
-
-def reproject(camera: Camera, frustum: Frustum, pixel, depth: float,
-              resolution, depth_mode: str = "linear"):
-    """Scalar fragment reprojection; None when the world point leaves ``frustum``."""
-    uvw, inside = reproject_fragments(camera, frustum, [pixel[0]], [pixel[1]],
-                                      [depth], resolution, depth_mode)
-    if not inside[0]:
-        return None
-    return float(uvw[0, 0]), float(uvw[0, 1]), float(uvw[0, 2])
+    return project_points(frustum, world)
 
 
 # ---------------------------------------------------------------------------

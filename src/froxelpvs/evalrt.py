@@ -30,8 +30,6 @@ class MetricsRecord:
     fp: int
     fn: int
     gtp: int
-    infer_ms: float = 0.0
-    oracle_ms: float = 0.0
     gtp_zero: bool = False
 
 
@@ -40,8 +38,7 @@ def _popcount(bits: np.ndarray) -> int:
 
 
 def froxel_metrics(pred: FroxelGrid, gt: FroxelGrid, frame: int = 0,
-                   per: float = 0.0, infer_ms: float = 0.0,
-                   oracle_ms: float = 0.0) -> MetricsRecord:
+                   per: float = 0.0) -> MetricsRecord:
     """Exact popcount-based confusion counts and FNR/FPR rates.
 
     An empty ground truth reports zero rates with the ``gtp_zero`` flag set.
@@ -53,10 +50,8 @@ def froxel_metrics(pred: FroxelGrid, gt: FroxelGrid, frame: int = 0,
     fn = _popcount(~pred.bits & gt.bits)
     gtp = _popcount(gt.bits)
     if gtp == 0:
-        return MetricsRecord(frame, 0.0, 0.0, per, tp, fp, fn, gtp,
-                             infer_ms, oracle_ms, gtp_zero=True)
-    return MetricsRecord(frame, fn / gtp, fp / gtp, per, tp, fp, fn, gtp,
-                         infer_ms, oracle_ms)
+        return MetricsRecord(frame, 0.0, 0.0, per, tp, fp, fn, gtp, gtp_zero=True)
+    return MetricsRecord(frame, fn / gtp, fp / gtp, per, tp, fp, fn, gtp)
 
 
 def cull(scene: TriScene, pvs: FroxelGrid, id_map: dict) -> set:
@@ -84,14 +79,14 @@ def pixel_error_rate(scene: TriScene, camera: Camera, pvs: FroxelGrid,
 # Report files
 # ---------------------------------------------------------------------------
 
-METRICS_HEADER = "frame,fnr,fpr,per,tp,fp,fn,gtp,infer_ms,oracle_ms"
+METRICS_HEADER = "frame,fnr,fpr,per,tp,fp,fn,gtp"
 
 
 def write_metrics_csv(path, records):
     lines = [METRICS_HEADER]
     for r in records:
         lines.append(f"{r.frame},{r.fnr:.9g},{r.fpr:.9g},{r.per:.9g},"
-                     f"{r.tp},{r.fp},{r.fn},{r.gtp},{r.infer_ms:.6g},{r.oracle_ms:.6g}")
+                     f"{r.tp},{r.fp},{r.fn},{r.gtp}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -104,6 +99,6 @@ def read_metrics_csv(path) -> list:
         f = row.split(",")
         records.append(MetricsRecord(int(f[0]), float(f[1]), float(f[2]), float(f[3]),
                                      int(f[4]), int(f[5]), int(f[6]), int(f[7]),
-                                     float(f[8]), float(f[9]), gtp_zero=int(f[7]) == 0))
+                                     gtp_zero=int(f[7]) == 0))
     return records
 

@@ -354,7 +354,7 @@ def screen_triangles(scene: TriScene, origin: np.ndarray, basis: np.ndarray,
     return np.stack([u, v], axis=2), 1.0 / zc, src
 
 
-def _fragment_stream(scene: TriScene, frustum: Frustum, dims, depth_mode: str = "linear"):
+def _fragment_stream(scene: TriScene, frustum: Frustum, dims):
     """Rasterize the scene through the frustum at ``SUPERSAMPLE`` times the
     froxel resolution in x and y; yields chunks ``(froxel indices (N, 3),
     source triangle)``."""
@@ -365,7 +365,7 @@ def _fragment_stream(scene: TriScene, frustum: Frustum, dims, depth_mode: str = 
     tris2d, invz, src = screen_triangles(scene, frustum._o, frustum._basis,
                                          frustum.half_extent, frustum.near,
                                          frustum.far, sx, sy)
-    wv = depth_to_w(frustum, 1.0 / invz, depth_mode)
+    wv = depth_to_w(frustum, 1.0 / invz)
     for tri, px, py, b1, b2 in iter_raster_chunks(tris2d, sx, sy):
         inv = interp_affine(invz[tri], b1, b2)
         # perspective-corrected weights keep depth exact on constant-z faces
@@ -378,8 +378,7 @@ def _fragment_stream(scene: TriScene, frustum: Frustum, dims, depth_mode: str = 
         yield idx, src[tri[keep]]
 
 
-def froxelize(scene: TriScene, frustum: Frustum, dims,
-              depth_mode: str = "linear") -> FroxelGrid:
+def froxelize(scene: TriScene, frustum: Frustum, dims) -> FroxelGrid:
     """Rasterize a triangle scene into a binary geometry grid.
 
     A froxel is set when a raster sample lands in it; samples sit at pixel
@@ -387,13 +386,12 @@ def froxelize(scene: TriScene, frustum: Frustum, dims,
     sample's depth ``w`` comes from :func:`~froxelpvs.core.depth_to_w`.
     """
     grid = FroxelGrid(dims, role="geometry")
-    for idx, _src in _fragment_stream(scene, frustum, grid.dims, depth_mode):
+    for idx, _src in _fragment_stream(scene, frustum, grid.dims):
         grid._set_unchecked(idx[:, 0], idx[:, 1], idx[:, 2])
     return grid
 
 
-def froxel_id_map(scene: TriScene, frustum: Frustum, dims,
-                  depth_mode: str = "linear") -> dict:
+def froxel_id_map(scene: TriScene, frustum: Frustum, dims) -> dict:
     """Map each covered froxel to the set of primitive ids touching it.
 
     Shares the fragment traversal with :func:`froxelize`, so the key set
@@ -402,7 +400,7 @@ def froxel_id_map(scene: TriScene, frustum: Frustum, dims,
     sort deduplicates them and groups them by froxel.
     """
     nx, ny, nz = (int(d) for d in dims)
-    stream = _fragment_stream(scene, frustum, (nx, ny, nz), depth_mode)
+    stream = _fragment_stream(scene, frustum, (nx, ny, nz))
     pids = scene.primitive_ids
     if len(pids) == 0:
         return {}

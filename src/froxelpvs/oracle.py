@@ -19,30 +19,18 @@ from .froxel import FroxelGrid, interp_affine, iter_raster_chunks, quantize, \
     screen_triangles
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+DEPTH_SCALE = 4       # oracle depth-buffer pixels per froxel along x and y
 
 
 @dataclass
 class OracleConfig:
-    """Viewpoint sampling and depth-buffer settings for GT generation."""
+    """Viewpoint count for GT generation."""
 
     viewpoints: int = 128
-    mode: str = "uniform-grid"     # "uniform-grid" | "uniform-random"
-    seed: int = 0
-    depth_resolution: tuple | None = None   # default: 4x the grid cross-section
 
     def __post_init__(self):
         if self.viewpoints < 1:
             raise ValueError("viewpoint count must be >= 1")
-        if self.mode not in ("uniform-grid", "uniform-random"):
-            raise ValueError(f"unknown sampling mode {self.mode!r}")
-
-    def resolution_for(self, dims) -> tuple:
-        if self.depth_resolution is not None:
-            w, h = self.depth_resolution
-            if w < dims[0] or h < dims[1]:
-                raise ValueError("depth buffer must be at least the grid cross-section")
-            return int(w), int(h)
-        return 4 * int(dims[0]), 4 * int(dims[1])
 
 
 @dataclass
@@ -55,12 +43,6 @@ class DepthBuffer:
 
     depth: np.ndarray
     prim: np.ndarray
-    near: float
-    far: float
-
-    @property
-    def resolution(self) -> tuple:
-        return self.depth.shape[1], self.depth.shape[0]
 
 
 def _vdc(i: int) -> float:
@@ -74,33 +56,23 @@ def _vdc(i: int) -> float:
 
 
 def sample_viewpoints(cell: ViewCell, cfg: OracleConfig) -> list:
-    """Cameras covering the cell's lateral disc and yaw range.
+    """Deterministic cameras covering the cell's lateral disc and yaw range.
 
-    M=1 pins the camera to the cell center with zero yaw. ``uniform-grid``
-    uses a golden-angle spiral over the disc with a bit-reversed yaw
-    sequence; ``uniform-random`` draws seeded uniform samples.
+    M=1 pins the camera to the cell center with zero yaw. Otherwise camera i
+    sits on a golden-angle spiral over the disc, and its yaw follows the
+    bit-reversed (van der Corput) sequence over [-beta, beta].
     """
     m = cfg.viewpoints
     if m == 1:
         return [cell.camera_at(cell.center, 0.0)]
     cams = []
-    if cfg.mode == "uniform-grid":
-        for i in range(m):
-            rad = cell.radius * math.sqrt((i + 0.5) / m)
-            ang = i * GOLDEN_ANGLE
-            pos = cell.center + cell.right * (rad * math.cos(ang)) \
-                + cell.up * (rad * math.sin(ang))
-            yaw = cell.beta_deg * (2.0 * _vdc(i + 1) - 1.0)
-            cams.append(cell.camera_at(pos, yaw))
-    else:
-        rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        for _ in range(m):
-            rad = cell.radius * math.sqrt(rng.random())
-            ang = 2.0 * math.pi * rng.random()
-            yaw = cell.beta_deg * (2.0 * rng.random() - 1.0)
-            pos = cell.center + cell.right * (rad * math.cos(ang)) \
-                + cell.up * (rad * math.sin(ang))
-            cams.append(cell.camera_at(pos, yaw))
+    for i in range(m):
+        rad = cell.radius * math.sqrt((i + 0.5) / m)
+        ang = i * GOLDEN_ANGLE
+        pos = cell.center + cell.right * (rad * math.cos(ang)) \
+            + cell.up * (rad * math.sin(ang))
+        yaw = cell.beta_deg * (2.0 * _vdc(i + 1) - 1.0)
+        cams.append(cell.camera_at(pos, yaw))
     return cams
 
 
@@ -134,24 +106,24 @@ def render_depth(scene: TriScene, camera: Camera, resolution) -> DepthBuffer:
             win = depth <= zflat[flat]
             np.minimum.at(iflat, flat[win], pid[win])
     prim = np.where(np.isfinite(zflat), iflat, -1).reshape(h, w)
-    return DepthBuffer(zflat.reshape(h, w), prim, camera.near, camera.far)
+    return DepthBuffer(zflat.reshape(h, w), prim)
 
 
 def compute_gt_pvs(scene: TriScene, cell: ViewCell, dims, ocfg: OracleConfig,
-                   depth_mode: str = "linear",
                    cameras: list | None = None) -> FroxelGrid:
     """Ground-truth PVS grid: OR of reprojected depth fragments over all
-    sampled viewpoints.
+    sampled viewpoints (``cameras`` overrides the sampled set).
 
-    The result need not lie inside ``froxelize``'s grid, because the two
-    sample the scene at different points; training pairs take
-    ``froxelize(...) | gt`` as geometry, which holds the PVS-subset-of-geometry
-    property bit-exactly.
+    Each camera renders a depth buffer of ``DEPTH_SCALE`` times the grid's
+    x and y resolution. The result need not lie inside ``froxelize``'s grid,
+    because the two sample the scene at different points; training pairs
+    take ``froxelize(...) | gt`` as geometry, which holds the
+    PVS-subset-of-geometry property bit-exactly.
     """
     frustum = build_viewcell_frustum(cell)
     gt = FroxelGrid(dims, role="gt_pvs")
     cams = cameras if cameras is not None else sample_viewpoints(cell, ocfg)
-    res = ocfg.resolution_for(gt.dims)
+    res = (DEPTH_SCALE * gt.dims[0], DEPTH_SCALE * gt.dims[1])
     seen = np.zeros(gt.dims, dtype=bool)
     for cam in cams:
         buf = render_depth(scene, cam, res)
@@ -159,7 +131,7 @@ def compute_gt_pvs(scene: TriScene, cell: ViewCell, dims, ocfg: OracleConfig,
         if len(rows) == 0:
             continue
         uvw, inside = reproject_fragments(cam, frustum, cols, rows,
-                                          buf.depth[rows, cols], res, depth_mode)
+                                          buf.depth[rows, cols], res)
         x, y, z = quantize(uvw[inside], gt.dims).T
         seen[x, y, z] = True
     gt.set_many(np.argwhere(seen))
@@ -228,13 +200,3 @@ def ray_cast_pvs(scene: TriScene, cell: ViewCell, dims, rays_per_froxel_face: in
             continue
         grid.set_many(quantize(uvw[inside], grid.dims))
     return grid
-
-
-def write_pfm(path, image: np.ndarray):
-    """Grayscale PFM float dump (little-endian, bottom row first)."""
-    img = np.asarray(image, dtype=np.float32)
-    with open(path, "wb") as fh:
-        fh.write(b"Pf\n")
-        fh.write(f"{img.shape[1]} {img.shape[0]}\n".encode())
-        fh.write(b"-1.0\n")
-        fh.write(img.tobytes())

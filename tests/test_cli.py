@@ -39,6 +39,7 @@ CASES = {
                                  EXIT_USAGE),
     "--motion is no flag": (["gt", "--motion", "m.txt", "--scene", "{missing}",
                              "--out", "{out}"], EXIT_USAGE),
+    "bench is no command": (["bench", "--out", "{out}"], EXIT_USAGE),
     "supersample is no config key": (
         ["eval", "--config", "{supersample}", "--pred", "{a}", "--gt", "{a}",
          "--out", "{out}"], EXIT_USAGE),

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from froxelpvs.core import (Camera, Frustum, TriScene, Vec3, ViewCell,
-                            build_viewcell_frustum, load_scene,
-                            project_points, project_to_ndc, reproject, save_scene,
-                            unproject_ndc)
+                            build_viewcell_frustum, load_scene, project_points,
+                            reproject_fragments, save_scene, unproject_ndc)
 
 from conftest import default_cell
 
@@ -88,18 +87,19 @@ class TestContainment:
 class TestProjection:
     def test_axis_points(self):
         fr = _frustum()
-        assert project_to_ndc(fr, Vec3(0, 0, fr.near)) == pytest.approx((0.5, 0.5, 0.0))
-        assert project_to_ndc(fr, Vec3(0, 0, fr.far)) == pytest.approx((0.5, 0.5, 1.0))
         mid = 0.5 * (fr.near + fr.far)
-        assert project_to_ndc(fr, Vec3(0, 0, mid))[2] == pytest.approx(0.5)
+        uvw, inside = project_points(fr, [[0, 0, fr.near], [0, 0, fr.far], [0, 0, mid]])
+        assert inside.all()
+        assert uvw == pytest.approx(np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 1.0],
+                                              [0.5, 0.5, 0.5]]))
 
     def test_behind_origin_flagged(self):
-        fr = _frustum()
-        assert project_to_ndc(fr, Vec3(0, 0, -5.0)) is None
+        _, inside = project_points(_frustum(), [[0, 0, -5.0]])
+        assert not inside[0]
 
     def test_outside_lateral_flagged(self):
-        fr = _frustum()
-        assert project_to_ndc(fr, Vec3(100.0, 0, 2.0)) is None
+        _, inside = project_points(_frustum(), [[100.0, 0, 2.0]])
+        assert not inside[0]
 
     def test_round_trip(self, rng):
         fr = _frustum(fov=75.0, near=0.5, far=30.0)
@@ -117,12 +117,6 @@ class TestProjection:
         rel = np.abs(again - pts).max() / np.abs(pts).max()
         assert rel < 1e-10
 
-    def test_log_depth_mode(self):
-        fr = _frustum(near=1.0, far=100.0)
-        # z = 10 is the geometric midpoint of [1, 100]
-        uvw, inside = project_points(fr, np.array([[0.0, 0.0, 10.0]]), "log")
-        assert inside[0] and uvw[0, 2] == pytest.approx(0.5)
-
     def test_plane_test_agrees_with_ndc(self, rng):
         fr = _frustum(fov=80.0, near=0.7, far=25.0)
         pts = rng.uniform(-30, 30, size=(5000, 3))
@@ -137,13 +131,12 @@ class TestReproject:
         eye = Camera(frustum.origin, frustum.forward, frustum.up, frustum.right,
                      frustum.fov_deg, frustum.near, frustum.far)
         res = (64, 64)
-        for px, py, w in ((10, 20, 0.3), (33, 60, 0.8), (0, 0, 0.05)):
-            depth = frustum.near + w * (frustum.far - frustum.near)
-            got = reproject(eye, frustum, (px, py), depth, res)
-            assert got is not None
-            assert got[0] == pytest.approx((px + 0.5) / res[0], abs=1e-9)
-            assert got[1] == pytest.approx((py + 0.5) / res[1], abs=1e-9)
-            assert got[2] == pytest.approx(w, abs=1e-9)
+        px, py, w = np.array([10, 33, 0]), np.array([20, 60, 0]), np.array([0.3, 0.8, 0.05])
+        depth = frustum.near + w * (frustum.far - frustum.near)
+        uvw, inside = reproject_fragments(eye, frustum, px, py, depth, res)
+        assert inside.all()
+        want = np.column_stack([(px + 0.5) / res[0], (py + 0.5) / res[1], w])
+        assert np.abs(uvw - want).max() <= 1e-9
 
     def test_member_camera_fragments_land_inside(self, rng):
         """Far-plane-limited fragments from member cameras stay in the frustum."""
@@ -158,7 +151,6 @@ class TestReproject:
             px = rng.integers(0, 64, size=50)
             py = rng.integers(0, 64, size=50)
             depth = rng.uniform(cam.near, cam.far * 0.7, size=50)
-            from froxelpvs.core import reproject_fragments
             _, inside = reproject_fragments(cam, frustum, px, py, depth, (64, 64))
             assert inside.all()
 
@@ -166,7 +158,8 @@ class TestReproject:
         cell = default_cell()
         frustum = build_viewcell_frustum(cell)
         back = Camera.from_forward(cell.center, Vec3(0, 0, -1), 60.0, 0.3, 20.0)
-        assert reproject(back, frustum, (32, 32), 10.0, (64, 64)) is None
+        _, inside = reproject_fragments(back, frustum, [32], [32], [10.0], (64, 64))
+        assert not inside[0]
 
 
 class TestTriScene:

@@ -10,12 +10,12 @@ from froxelpvs.evalrt import (MetricsRecord, cull, froxel_metrics, read_metrics_
 from froxelpvs.froxel import FroxelGrid, _fragment_stream, froxel_id_map
 from froxelpvs.scenegen import SceneGenConfig, generate_scene
 
-from conftest import DEPTH_MODES, default_cell
+from conftest import PERSPECTIVE, default_cell
 
 
-def reference_id_map(scene, frustum, dims, depth_mode="linear"):
+def reference_id_map(scene, frustum, dims):
     mapping = {}
-    for idx, src in _fragment_stream(scene, frustum, dims, depth_mode=depth_mode):
+    for idx, src in _fragment_stream(scene, frustum, dims):
         for coord, pid in zip(map(tuple, idx.tolist()), scene.primitive_ids[src].tolist()):
             mapping.setdefault(coord, set()).add(pid)
     return mapping
@@ -35,12 +35,12 @@ def _scene(seed):
 
 
 class TestIdMapAndCull:
-    @pytest.mark.parametrize("depth_mode", DEPTH_MODES)
+    @PERSPECTIVE
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_matches_reference_loop(self, seed, depth_mode, rng):
+    def test_matches_reference_loop(self, seed, projection, rng):
         scene, frustum = _scene(seed)
-        mapping = froxel_id_map(scene, frustum, (32, 16, 24), depth_mode=depth_mode)
-        ref = reference_id_map(scene, frustum, (32, 16, 24), depth_mode)
+        mapping = froxel_id_map(scene, frustum, (32, 16, 24))
+        ref = reference_id_map(scene, frustum, (32, 16, 24))
         assert mapping and mapping == ref
         assert list(mapping) == sorted(ref, key=lambda c: (c[2], c[1], c[0]))
         pvs = FroxelGrid.from_dense(rng.random((32, 16, 24)) < 0.4)
@@ -88,8 +88,8 @@ def test_froxel_metrics_counts(rng):
 
 
 def test_metrics_csv_round_trip(tmp_path):
-    records = [MetricsRecord(0, 0.25, 0.125, 0.0625, 30, 5, 10, 40, 12.5, 340.25),
-               MetricsRecord(1, 0.0, 0.0, 0.5, 0, 3, 0, 0, 1.5, 2.0, gtp_zero=True)]
+    records = [MetricsRecord(0, 0.25, 0.125, 0.0625, 30, 5, 10, 40),
+               MetricsRecord(1, 0.0, 0.0, 0.5, 0, 3, 0, 0, gtp_zero=True)]
     path = tmp_path / "metrics.csv"
     write_metrics_csv(path, records)
     assert read_metrics_csv(path) == records

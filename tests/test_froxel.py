@@ -8,7 +8,7 @@ from froxelpvs.froxel import (_DEGEN_EPS, FroxelGrid, clip_triangles_halfspace,
                               froxel_id_map, froxelize, iter_raster_chunks, quantize,
                               screen_triangles)
 
-from conftest import DEPTH_MODES, default_cell, quad_at
+from conftest import PERSPECTIVE, default_cell, quad_at
 
 
 class TestQuantize:
@@ -181,12 +181,9 @@ def _exact_frustum():
                    90.0, 2.0, 18.0)
 
 
-def _full_span_quad_scene(frustum, w: float, depth_mode: str = "linear"):
+def _full_span_quad_scene(frustum, w: float):
     """Quad at fractional depth w covering the whole frustum cross-section."""
-    if depth_mode == "linear":
-        z = frustum.near + w * (frustum.far - frustum.near)
-    else:
-        z = frustum.near * (frustum.far / frustum.near) ** w
+    z = frustum.near + w * (frustum.far - frustum.near)
     half = 1.2 * z * frustum.half_extent
     verts, tris = quad_at(z, half, half)
     world = frustum._o + verts @ frustum._basis
@@ -207,15 +204,13 @@ class TestFroxelize:
         with pytest.raises(ValueError):
             froxelize(scene, frustum, (15, 16, 16))
 
-    @pytest.mark.parametrize("depth_mode", DEPTH_MODES)
-    def test_full_span_quad_single_layer(self, depth_mode):
-        """A full-cross-section quad fills exactly layer iz=8 of 16: at its
-        lower boundary w=0.5 in linear depth (exact there), at its centre in
-        log depth."""
+    @PERSPECTIVE
+    def test_full_span_quad_single_layer(self, projection):
+        """A full-cross-section quad at w=0.5, the lower boundary of layer
+        iz=8 of 16 (exact there), fills exactly that layer."""
         frustum = _exact_frustum()
-        w = 0.5 if depth_mode == "linear" else 8.5 / 16
-        scene = _full_span_quad_scene(frustum, w, depth_mode)
-        grid = froxelize(scene, frustum, (16, 16, 16), depth_mode=depth_mode)
+        scene = _full_span_quad_scene(frustum, 0.5)
+        grid = froxelize(scene, frustum, (16, 16, 16))
         dense = grid.to_dense()
         assert dense[:, :, 8].all()
         dense[:, :, 8] = False
@@ -278,13 +273,13 @@ class TestIdMap:
         mapping = froxel_id_map(scene, frustum, (16, 16, 16))
         assert any(ids == {1, 2} for ids in mapping.values())
 
-    @pytest.mark.parametrize("depth_mode", DEPTH_MODES)
-    def test_key_set_matches_froxelize(self, depth_mode):
+    @PERSPECTIVE
+    def test_key_set_matches_froxelize(self, projection):
         from froxelpvs.scenegen import SceneGenConfig, generate_scene
         scene, cell = generate_scene(SceneGenConfig(seed=5, count_range=(3, 6)))
         frustum = build_viewcell_frustum(cell)
-        grid = froxelize(scene, frustum, (16, 16, 16), depth_mode=depth_mode)
-        mapping = froxel_id_map(scene, frustum, (16, 16, 16), depth_mode=depth_mode)
+        grid = froxelize(scene, frustum, (16, 16, 16))
+        mapping = froxel_id_map(scene, frustum, (16, 16, 16))
         from_map = FroxelGrid((16, 16, 16))
         if mapping:
             from_map.set_many(np.array(sorted(mapping)))

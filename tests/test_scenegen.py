@@ -16,7 +16,7 @@ def test_geometry_is_runtime_froxelize_or_gt(tmp_path):
     the frame's ground truth OR-ed in; the manifest names each frame's seed
     and files."""
     cfg = SceneGenConfig(seed=7)
-    ocfg = OracleConfig(viewpoints=4, seed=7)
+    ocfg = OracleConfig(viewpoints=4)
     dims = (16, 16, 16)
     manifest = generate_dataset(cfg, 2, tmp_path / "data", dims=dims, ocfg=ocfg)
     records = read_manifest(manifest)
