@@ -2,8 +2,10 @@
 inference, and evaluation.
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 validation failure.
-Options may come from a plain ``key=value`` config file (``--config``);
-explicit flags win over file entries.
+Each command accepts only the flags it reads; any other flag is a usage
+error. Options may also come from a plain ``key=value`` config file
+(``--config``), whose keys are shared by every command; explicit flags win
+over file entries.
 """
 
 from __future__ import annotations
@@ -136,53 +138,68 @@ def _load_config_file(path) -> dict:
     return values
 
 
+_HELP = {
+    "dims": "grid size, e.g. 32 or 32,32,32",
+    "radius": "viewcell radius (m)",
+    "fov": "camera field of view (deg)",
+    "beta": "rotation margin to either side (deg)",
+    "near": "near plane (m)",
+    "far": "far plane (m)",
+    "viewpoints": "viewpoints per cell for ground truth",
+    "seed": "RNG seed",
+    "frames": "number of frames",
+    "cell_center": "viewcell center x,y,z",
+    "cell_yaw": "viewcell yaw (deg)",
+    "scene": "scene file",
+    "geometry_out": "also write the geometry grid here",
+    "d": "interleave factor",
+    "tau": "decision threshold",
+    "epochs": "training epochs",
+    "batch": "pairs per gradient step",
+    "lr": "learning rate",
+    "decay": "multiplicative per-step learning-rate decay",
+    "alpha": "Dice false-positive weight",
+    "lam": "weight of the Dice term against the RVL term",
+    "manifest": "dataset manifest",
+    "log": "per-epoch CSV log (default: <out>.epochs.csv)",
+    "holdout": "trailing frames held out for validation",
+    "geometry": "geometry grid (.fpvs) to predict from",
+    "checkpoint": "trained network (.fpvw)",
+    "pred": "predicted PVS grid (.fpvs)",
+    "gt": "ground-truth PVS grid (.fpvs)",
+    "out": "output path",
+}
+
+_SCENE = ("radius", "fov", "beta", "near", "far")
+_CELL = _SCENE + ("cell_center", "cell_yaw")
+
+# command -> (help, the RunConfig fields it reads); a flag for any other
+# field is a usage error
+_OPTIONS = {
+    "gen-dataset": ("write synthetic (geometry, gt) pairs",
+                    ("dims", "viewpoints", "seed", *_SCENE, "frames", "out")),
+    "gt": ("ground-truth PVS for a scene file",
+           ("dims", "viewpoints", *_CELL, "scene", "out", "geometry_out")),
+    "train": ("train the estimator on a dataset manifest",
+              ("d", "seed", "tau", "epochs", "batch", "lr", "decay", "alpha", "lam",
+               "manifest", "log", "out", "holdout")),
+    "infer": ("predict a PVS grid from a geometry grid; the prediction is a "
+              "subset of the geometry", ("tau", "geometry", "checkpoint", "out")),
+    "eval": ("compare predicted vs ground-truth grids",
+             (*_CELL, "pred", "gt", "scene", "out")),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="froxelpvs", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def common(p, *, paths=()):
+    for command, (text, names) in _OPTIONS.items():
+        p = sub.add_parser(command, help=text, description=text)
         p.add_argument("--config", help="key=value config file; flags override")
-        p.add_argument("--dims", help="grid size, e.g. 32 or 32,32,32")
-        p.add_argument("--radius", help="viewcell radius (m)")
-        p.add_argument("--fov", help="camera field of view (deg)")
-        p.add_argument("--beta", help="rotation margin to either side (deg)")
-        p.add_argument("--near", help="near plane (m)")
-        p.add_argument("--far", help="far plane (m)")
-        p.add_argument("--d", help="interleave factor")
-        p.add_argument("--viewpoints", help="viewpoints per cell for ground truth")
-        p.add_argument("--seed", help="RNG seed")
-        p.add_argument("--tau", help="decision threshold")
-        p.add_argument("--out", help="output path")
-        for name in paths:
-            p.add_argument(f"--{name.replace('_', '-')}")
-
-    p = sub.add_parser("gen-dataset", help="write synthetic (geometry, gt) pairs")
-    common(p)
-    p.add_argument("--frames", help="number of frames")
-
-    p = sub.add_parser("gt", help="ground-truth PVS for a scene file")
-    common(p, paths=("scene", "geometry_out"))
-    p.add_argument("--cell-center", help="viewcell center x,y,z")
-    p.add_argument("--cell-yaw", help="viewcell yaw (deg)")
-
-    p = sub.add_parser("train", help="train the estimator on a dataset manifest")
-    common(p, paths=("manifest", "log"))
-    p.add_argument("--epochs")
-    p.add_argument("--batch")
-    p.add_argument("--holdout", help="trailing frames held out for validation")
-    p.add_argument("--lr")
-    p.add_argument("--decay")
-    p.add_argument("--alpha")
-    p.add_argument("--lambda", dest="lam")
-
-    p = sub.add_parser("infer", help="predict a PVS grid from a geometry grid")
-    common(p, paths=("geometry", "checkpoint"))
-
-    p = sub.add_parser("eval", help="compare predicted vs ground-truth grids")
-    common(p, paths=("pred", "gt", "scene"))
-    p.add_argument("--cell-center")
-    p.add_argument("--cell-yaw")
+        for name in names:
+            flag = "--lambda" if name == "lam" else "--" + name.replace("_", "-")
+            p.add_argument(flag, dest=name, help=_HELP[name])
     return parser
 
 

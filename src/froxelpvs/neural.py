@@ -1,12 +1,16 @@
-"""Dense volumetric convolutional PVS estimator trained with plain gradient
-descent.
+"""Volumetric convolutional PVS estimator: dense float64 training, sparse
+float32 inference.
 
 The network maps an interleaved geometry tensor to per-froxel visibility
 probabilities. Layers are 3D cross-correlations with zero padding (spatial
-dims preserved) and hand-derived backward passes. One kernel serves both
-uses: k^3 shifted GEMMs into one accumulator, without an im2col buffer.
-Training runs it in float64, so gradients check out against central finite
-differences; inference runs it in float32.
+dims preserved) and hand-derived backward passes. Training runs every cell
+densely in float64, as k^3 shifted GEMMs into one accumulator without an
+im2col buffer, so gradients check out against central finite differences.
+Inference (:func:`predict_pvs`) runs in float32 and computes only the cells
+that can reach an occupied froxel: submanifold-style sparse convolution
+(Graham & van der Maaten, arXiv:1706.01307) done as a row gather plus a GEMM
+per kernel offset over a neighbour table (Choy et al., CVPR 2019). Its
+output is masked by the geometry grid.
 
 Losses follow the conventional confusion-count reading: on soft predictions
 p and binary ground truth g, TP = sum(p*g), FP = sum(p*(1-g)),
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .froxel import FroxelGrid
 from .interleave import ChannelTensor, deinterleave, interleave
@@ -195,7 +200,7 @@ class Conv3d:
         for a, b, c in np.ndindex(k, k, k):
             yield np.s_[:, a:a + d, b:b + h, c:c + w, :]
 
-    def forward(self, x: np.ndarray, keep_cache: bool = False):
+    def forward(self, x: np.ndarray, keep_cache: bool = False, rules=None):
         """Returns the activation output, plus a backward cache when asked.
 
         The pre-activation is k^3 shifted GEMMs into one accumulator
@@ -204,7 +209,16 @@ class Conv3d:
         weight slice, so no k^3 * C_in column buffer is built. Without a
         cache the layer runs in float32; with one it runs in float64 and
         keeps the padded input for :meth:`backward`.
+
+        With ``rules``, a neighbour table from :func:`conv_rules`, the layer
+        runs sparse in float32: ``x`` holds one (C_in,) row per input cell
+        and the result one (C_out,) row per output cell. Per offset j, each
+        output row with a neighbour adds ``x[rules[j]] @ w_j``, in the same
+        offset order as the dense pass; a missing neighbour adds zero, as
+        zero padding does, so a row with none keeps its bias.
         """
+        if rules is not None:
+            return self._sparse_forward(x, rules)
         if x.ndim != 5 or x.shape[4] != self.spec.in_channels:
             raise ValueError(
                 f"expected (B, D, H, W, {self.spec.in_channels}) input, got {x.shape}")
@@ -224,16 +238,40 @@ class Conv3d:
             np.matmul(shifted.reshape(-1, cin), taps[j], out=prod)
             z += prod
         z = z.reshape(bsz, d, h, w, cout)
-        act = self.spec.activation
-        if act == "relu":
-            y = np.maximum(z, 0.0)
-        elif act == "sigmoid":
-            y = _sigmoid(z)
-        else:
-            y = z
+        y = self._activate(z)
         if not keep_cache:
             return y
         return y, (xpad, z, y, x.shape)
+
+    def _sparse_forward(self, x: np.ndarray, rules: np.ndarray) -> np.ndarray:
+        k, cin, cout = self.spec.kernel, self.spec.in_channels, self.spec.out_channels
+        if x.ndim != 2 or x.shape[1] != cin:
+            raise ValueError(f"expected (rows, {cin}) input, got {x.shape}")
+        if rules.shape[0] != k ** 3:
+            raise ValueError(f"expected {k ** 3} kernel offsets, got {rules.shape[0]}")
+        # a trailing zero row, so a missing neighbour (-1) reads zeros
+        x = np.concatenate([x.astype(np.float32, copy=False), np.zeros((1, cin), np.float32)])
+        taps = self.w.astype(np.float32).reshape(k ** 3, cin, cout)
+        z = np.empty((rules.shape[1], cout), dtype=np.float32)
+        z[:] = self.b
+        for j, ins in enumerate(rules):
+            outs = np.flatnonzero(ins >= 0)
+            # gathering every row and adding zero products for the missing
+            # ones beats a gather and scatter of the present ones while
+            # they are at least half
+            if 2 * len(outs) >= len(ins):
+                z += x[ins] @ taps[j]
+            elif len(outs):
+                z[outs] += x[ins[outs]] @ taps[j]
+        return self._activate(z)
+
+    def _activate(self, z: np.ndarray) -> np.ndarray:
+        act = self.spec.activation
+        if act == "relu":
+            return np.maximum(z, 0.0)
+        if act == "sigmoid":
+            return _sigmoid(z)
+        return z
 
     def backward(self, dy: np.ndarray, cache):
         """Gradients of the scalar loss w.r.t. (input, weights, bias).
@@ -450,10 +488,11 @@ def _epoch_rates(tp, fp, fn, gtp):
 
 
 def evaluate_pairs(net: PvsNet, x: np.ndarray, y: np.ndarray, tau: float):
-    """Hard FNR/FPR of thresholded predictions over a stacked pair set."""
+    """Hard FNR/FPR over a stacked pair set of thresholded predictions
+    masked by geometry, as :func:`predict_pvs` ships them."""
     tp = fp = fn = gtp = 0
     for i in range(len(x)):
-        pred = net.forward(x[i:i + 1])[0] >= tau
+        pred = (net.forward(x[i:i + 1])[0] >= tau) & (x[i] > 0.5)
         gt = y[i] > 0.5
         tp += int((pred & gt).sum())
         fp += int((pred & ~gt).sum())
@@ -528,15 +567,61 @@ def train(pairs, mcfg: ModelConfig, tcfg: TrainConfig, eval_pairs=None,
     return net, history
 
 
+def dilate(cells: np.ndarray, r: int) -> np.ndarray:
+    """Cells of a 3D mask within Chebyshev distance ``r`` of a set cell."""
+    for axis in range(3):
+        width = [(0, 0)] * 3
+        width[axis] = (r, r)
+        cells = sliding_window_view(np.pad(cells, width), 2 * r + 1, axis=axis).any(axis=-1)
+    return cells
+
+
+def conv_rules(out_cells: np.ndarray, in_cells: np.ndarray, k: int) -> np.ndarray:
+    """Neighbour table of a sparse layer with kernel size ``k``.
+
+    ``out_cells`` and ``in_cells`` are boolean masks over one cell grid, and
+    rows number each mask's set cells in C order. Entry ``[j, r]`` is the
+    input row that kernel offset j, in weight-row order (a*k + b)*k + c,
+    reads for output row r: the cell at offset (a - k//2, b - k//2,
+    c - k//2) from it, or -1 where that cell is unset or off the grid.
+    """
+    p = k // 2
+    rows = np.full(tuple(n + 2 * p for n in in_cells.shape), -1, dtype=np.intp)
+    rows[p:rows.shape[0] - p, p:rows.shape[1] - p, p:rows.shape[2] - p][in_cells] = \
+        np.arange(np.count_nonzero(in_cells))
+    _, s1, s2 = rows.shape
+    x, y, z = np.nonzero(out_cells)
+    offsets = np.array([(a * s1 + b) * s2 + c for a, b, c in np.ndindex(k, k, k)])
+    return rows.reshape(-1)[offsets[:, None] + ((x * s1 + y) * s2 + z)]
+
+
 def predict_pvs(grid: FroxelGrid, net, tau: float = 0.5) -> FroxelGrid:
-    """Interleave, run the network, deinterleave with threshold tau."""
+    """Interleave, run the network sparsely, deinterleave with threshold tau,
+    and mask by the geometry grid.
+
+    The result is the dense network's ``p >= tau`` AND ``grid``, so the
+    predicted PVS is a subset of the geometry. That costs the runtime
+    nothing: ``cull`` reads PVS bits only at the froxel id map's keys, which
+    are the geometry grid's set froxels. So the last layer needs computing
+    only at interleaved cells holding a set froxel, and each earlier layer
+    only at the cells its successor's kernel reaches from there.
+    """
     if isinstance(net, (str, Path)):
         net = PvsNet.load(net)
     d = net.cfg.d
     if any(dim % d for dim in grid.dims):
         raise ValueError(f"grid dims {grid.dims} not divisible by interleave factor {d}")
-    x = interleave(grid.to_dense().astype(np.float32), d).values[None]
-    if x.shape[4] != net.cfg.layers[0].in_channels:
+    x = interleave(grid.to_dense().astype(np.float32), d).values
+    if x.shape[3] != net.cfg.layers[0].in_channels:
         raise ValueError("grid/channel mismatch against the checkpoint")
-    y = net.forward(x)[0]
-    return deinterleave(ChannelTensor(y, d), d, threshold=tau)
+    occupied = x.any(axis=3)
+    computed = [occupied]
+    for spec in reversed(net.cfg.layers[1:]):
+        computed.insert(0, dilate(computed[0], spec.kernel // 2))
+    feats, read = x[occupied], occupied
+    for layer, cells in zip(net.layers, computed):
+        feats = layer.forward(feats, rules=conv_rules(cells, read, layer.spec.kernel))
+        read = cells
+    y = np.zeros(x.shape, dtype=np.float32)
+    y[occupied] = feats
+    return deinterleave(ChannelTensor(y, d), d, threshold=tau) & grid

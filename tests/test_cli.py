@@ -25,8 +25,15 @@ CASES = {
                           EXIT_IO),
     "grid dims differ": (["eval", "--pred", "{a}", "--gt", "{b}", "--out", "{out}"],
                          EXIT_VALIDATION),
-    "--dims not a number": (["eval", "--pred", "{a}", "--gt", "{a}", "--out", "{out}",
-                             "--dims", "abc"], EXIT_USAGE),
+    "--dims not a number": (["gen-dataset", "--dims", "abc", "--out", "{data}"], EXIT_USAGE),
+    "gt takes no seed": (["gt", "--seed", "5", "--scene", "{missing}", "--out", "{out}"],
+                         EXIT_USAGE),
+    "eval takes no viewpoints": (["eval", "--pred", "{a}", "--gt", "{a}", "--out", "{out}",
+                                  "--viewpoints", "7"], EXIT_USAGE),
+    "eval takes no d": (["eval", "--pred", "{a}", "--gt", "{a}", "--out", "{out}",
+                         "--d", "3"], EXIT_USAGE),
+    "infer takes no dims": (["infer", "--geometry", "{a}", "--checkpoint", "{missing}",
+                             "--out", "{out}", "--dims", "16"], EXIT_USAGE),
     "--frames not a number": (["gen-dataset", "--frames", "two", "--out", "{data}"],
                               EXIT_USAGE),
     "config value not a number": (["eval", "--config", "{bad_value}", "--pred", "{a}",

@@ -7,7 +7,8 @@ import pytest
 from froxelpvs.froxel import FroxelGrid, froxelize
 from froxelpvs.interleave import ChannelTensor, deinterleave, interleave
 from froxelpvs.neural import ACTIVATIONS, Conv3d, ConvSpec, ModelConfig, PvsNet, \
-    TrainConfig, combined_loss, dice_loss, predict_pvs, rvl_loss, train
+    TrainConfig, combined_loss, conv_rules, dice_loss, dilate, evaluate_pairs, \
+    predict_pvs, rvl_loss, train
 
 BAND = 1e-5     # |p - tau| below this may flip between float32 and float64
 
@@ -64,7 +65,8 @@ class TestPredictPvs:
             x = interleave(grid, 4).values[None]
             p64 = deinterleave(ChannelTensor(_float64_chain(net, x)[0], 4))
             settled = np.abs(p64 - tau) >= BAND
-            assert np.array_equal(pred[settled], (p64 >= tau)[settled])
+            want = (p64 >= tau) & grid.to_dense()
+            assert np.array_equal(pred[settled], want[settled])
 
     def test_step_by_step_chain_equals_predict_pvs(self, rng):
         grid = FroxelGrid.from_dense(rng.random((16, 16, 16)) < 0.2)
@@ -75,6 +77,90 @@ class TestPredictPvs:
             x = layer.forward(x)
         steps = deinterleave(ChannelTensor(x[0], 4), 4, threshold=0.5)
         assert steps.bits.tobytes() == predict_pvs(grid, net).bits.tobytes()
+
+
+def _he_net(d, kernels, seed, hidden=6):
+    """He-init net with the given kernel sizes and random nonzero biases."""
+    c = d ** 3
+    chans = [c] + [hidden] * (len(kernels) - 1) + [c]
+    specs = [ConvSpec(k, cin, cout, "relu") for k, cin, cout in
+             zip(kernels, chans, chans[1:])]
+    specs[-1].activation = "sigmoid"
+    rng = np.random.Generator(np.random.PCG64(seed))
+    net = PvsNet(ModelConfig(d, specs), rng)
+    for layer in net.layers:
+        layer.b = rng.normal(0.0, 0.5, layer.b.shape)
+    return net
+
+
+def _dense_masked(grid, net, tau):
+    """Float64 dense chain, thresholded and masked by geometry, and the
+    dense probabilities."""
+    d = net.cfg.d
+    x = interleave(grid, d).values[None]
+    p64 = deinterleave(ChannelTensor(_float64_chain(net, x)[0], d))
+    return (p64 >= tau) & grid.to_dense(), p64
+
+
+class TestSparseInference:
+    @pytest.mark.parametrize("kernels", [(1,), (3,), (5,), (3, 1), (1, 5), (3, 3, 3),
+                                         (5, 3, 1, 3)],
+                             ids=lambda ks: "k" + "-".join(map(str, ks)))
+    @pytest.mark.parametrize("fill", [0.0, 0.03, 1.0])
+    def test_equals_dense_masked(self, kernels, fill):
+        """Bias-only cells matter: hidden layers compute cells no occupied
+        cell reaches, and the next layer reads them."""
+        rng = np.random.Generator(np.random.PCG64(len(kernels) * 10 + kernels[0]))
+        grid = FroxelGrid.from_dense(rng.random((16, 8, 12)) < fill)
+        net = _he_net(2, kernels, seed=sum(kernels))
+        for tau in (0.5, 0.3):
+            pred = predict_pvs(grid, net, tau)
+            want, p64 = _dense_masked(grid, net, tau)
+            settled = np.abs(p64 - tau) >= BAND
+            assert np.array_equal(pred.to_dense()[settled], want[settled])
+            assert pred.subset_of(grid)
+            if fill == 0.0:
+                assert pred.occupied_count() == 0
+
+    def test_unmasked_dense_output_differs(self):
+        """The case above is not vacuous: the dense net marks empty froxels."""
+        rng = np.random.Generator(np.random.PCG64(4))
+        grid = FroxelGrid.from_dense(rng.random((16, 8, 12)) < 0.03)
+        net = _he_net(2, (3, 3, 3), seed=9)
+        net.layers[-1].b[:] = 2.0
+        want, p64 = _dense_masked(grid, net, 0.5)
+        assert (p64 >= 0.5).sum() > want.sum() > 0
+        assert np.array_equal(predict_pvs(grid, net).to_dense(), want)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_rules_match_neighbour_loop(self, k, rng):
+        shape = (4, 5, 3)
+        out_cells = rng.random(shape) < 0.5
+        in_cells = rng.random(shape) < 0.4
+        rules = conv_rules(out_cells, in_cells, k)
+        rows = {tuple(c): r for r, c in enumerate(np.argwhere(in_cells))}
+        p = k // 2
+        want = np.full((k ** 3, out_cells.sum()), -1)
+        for r, (x, y, z) in enumerate(np.argwhere(out_cells)):
+            for j, (a, b, c) in enumerate(np.ndindex(k, k, k)):
+                want[j, r] = rows.get((x + a - p, y + b - p, z + c - p), -1)
+        assert np.array_equal(rules, want)
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_dilate_matches_neighbour_loop(self, r, rng):
+        cells = rng.random((6, 4, 5)) < 0.1
+        want = np.zeros_like(cells)
+        for x, y, z in np.argwhere(cells):
+            want[max(x - r, 0):x + r + 1, max(y - r, 0):y + r + 1, max(z - r, 0):z + r + 1] = True
+        assert np.array_equal(dilate(cells, r), want)
+
+    def test_sparse_layer_rejects_bad_shapes(self):
+        layer = _layer(3, 4, 2, "relu")
+        rules = conv_rules(np.ones((2, 2, 2), bool), np.ones((2, 2, 2), bool), 3)
+        with pytest.raises(ValueError):
+            layer.forward(np.zeros((8, 3), np.float32), rules=rules)
+        with pytest.raises(ValueError):
+            layer.forward(np.zeros((8, 4), np.float32), rules=rules[:9])
 
 
 def _cols_reference(x, k):
@@ -291,3 +377,16 @@ class TestTraining:
             assert np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
         net_c, _ = train(pairs, mcfg, TrainConfig(epochs=3, batch_size=2, lr=1e-2, seed=6))
         assert not np.array_equal(net_a.layers[0].w, net_c.layers[0].w)
+
+    def test_validation_rates_are_masked_by_geometry(self, rng):
+        """A net that marks every froxel misses nothing, and its false
+        positives are the geometry froxels outside the ground truth."""
+        geo = rng.random((8, 8, 8)) < 0.3
+        gt = geo & (rng.random(geo.shape) < 0.5)
+        x = interleave(geo.astype(np.float64), 2).values[None]
+        y = interleave(gt.astype(np.float64), 2).values[None]
+        net = PvsNet(ModelConfig.default(2, hidden=4))
+        net.layers[-1].b[:] = 10.0
+        fnr, fpr = evaluate_pairs(net, x, y, 0.5)
+        assert fnr == 0.0
+        assert fpr == (geo & ~gt).sum() / gt.sum()
