@@ -249,20 +249,13 @@ class Conv3d:
             raise ValueError(f"expected (rows, {cin}) input, got {x.shape}")
         if rules.shape[0] != k ** 3:
             raise ValueError(f"expected {k ** 3} kernel offsets, got {rules.shape[0]}")
-        # a trailing zero row, so a missing neighbour (-1) reads zeros
-        x = np.concatenate([x.astype(np.float32, copy=False), np.zeros((1, cin), np.float32)])
+        x = x.astype(np.float32, copy=False)
         taps = self.w.astype(np.float32).reshape(k ** 3, cin, cout)
         z = np.empty((rules.shape[1], cout), dtype=np.float32)
         z[:] = self.b
         for j, ins in enumerate(rules):
             outs = np.flatnonzero(ins >= 0)
-            # gathering every row and adding zero products for the missing
-            # ones beats a gather and scatter of the present ones while
-            # they are at least half
-            if 2 * len(outs) >= len(ins):
-                z += x[ins] @ taps[j]
-            elif len(outs):
-                z[outs] += x[ins[outs]] @ taps[j]
+            z[outs] += x[ins[outs]] @ taps[j]
         return self._activate(z)
 
     def _activate(self, z: np.ndarray) -> np.ndarray:
@@ -488,11 +481,11 @@ def _epoch_rates(tp, fp, fn, gtp):
 
 
 def evaluate_pairs(net: PvsNet, x: np.ndarray, y: np.ndarray, tau: float):
-    """Hard FNR/FPR over a stacked pair set of thresholded predictions
-    masked by geometry, as :func:`predict_pvs` ships them."""
+    """Hard FNR/FPR over a stacked pair set of the predictions that
+    :func:`predict_pvs` ships: thresholded and masked by geometry."""
     tp = fp = fn = gtp = 0
     for i in range(len(x)):
-        pred = (net.forward(x[i:i + 1])[0] >= tau) & (x[i] > 0.5)
+        pred = _predict_bits(net, x[i], tau)
         gt = y[i] > 0.5
         tp += int((pred & gt).sum())
         fp += int((pred & ~gt).sum())
@@ -595,16 +588,35 @@ def conv_rules(out_cells: np.ndarray, in_cells: np.ndarray, k: int) -> np.ndarra
     return rows.reshape(-1)[offsets[:, None] + ((x * s1 + y) * s2 + z)]
 
 
+def _predict_bits(net: PvsNet, x: np.ndarray, tau: float) -> np.ndarray:
+    """``(p >= tau) & (x > 0.5)`` on one interleaved (D, H, W, C) geometry
+    tensor ``x``, where p is the network's output, computed sparsely.
+
+    The last layer runs only at cells holding a set froxel, and each earlier
+    layer only at the cells its successor's kernel reaches from there.
+    """
+    occupied = x.any(axis=3)
+    computed = [occupied]
+    for spec in reversed(net.cfg.layers[1:]):
+        computed.insert(0, dilate(computed[0], spec.kernel // 2))
+    feats, read = x[occupied], occupied
+    for layer, cells in zip(net.layers, computed):
+        feats = layer.forward(feats, rules=conv_rules(cells, read, layer.spec.kernel))
+        read = cells
+    bits = np.zeros(x.shape, dtype=bool)
+    bits[occupied] = (feats >= tau) & (x[occupied] > 0.5)
+    return bits
+
+
 def predict_pvs(grid: FroxelGrid, net, tau: float = 0.5) -> FroxelGrid:
-    """Interleave, run the network sparsely, deinterleave with threshold tau,
-    and mask by the geometry grid.
+    """Interleave, run the network sparsely with threshold tau, mask by the
+    geometry grid and deinterleave.
 
     The result is the dense network's ``p >= tau`` AND ``grid``, so the
     predicted PVS is a subset of the geometry. That costs the runtime
     nothing: ``cull`` reads PVS bits only at the froxel id map's keys, which
-    are the geometry grid's set froxels. So the last layer needs computing
-    only at interleaved cells holding a set froxel, and each earlier layer
-    only at the cells its successor's kernel reaches from there.
+    are the geometry grid's set froxels. So only the cells that can reach a
+    set froxel need computing.
     """
     if isinstance(net, (str, Path)):
         net = PvsNet.load(net)
@@ -614,14 +626,5 @@ def predict_pvs(grid: FroxelGrid, net, tau: float = 0.5) -> FroxelGrid:
     x = interleave(grid.to_dense().astype(np.float32), d).values
     if x.shape[3] != net.cfg.layers[0].in_channels:
         raise ValueError("grid/channel mismatch against the checkpoint")
-    occupied = x.any(axis=3)
-    computed = [occupied]
-    for spec in reversed(net.cfg.layers[1:]):
-        computed.insert(0, dilate(computed[0], spec.kernel // 2))
-    feats, read = x[occupied], occupied
-    for layer, cells in zip(net.layers, computed):
-        feats = layer.forward(feats, rules=conv_rules(cells, read, layer.spec.kernel))
-        read = cells
-    y = np.zeros(x.shape, dtype=np.float32)
-    y[occupied] = feats
-    return deinterleave(ChannelTensor(y, d), d, threshold=tau) & grid
+    bits = _predict_bits(net, x, tau)
+    return FroxelGrid.from_dense(deinterleave(ChannelTensor(bits, d)), role="predicted_pvs")

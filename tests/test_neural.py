@@ -65,7 +65,7 @@ class TestPredictPvs:
             x = interleave(grid, 4).values[None]
             p64 = deinterleave(ChannelTensor(_float64_chain(net, x)[0], 4))
             settled = np.abs(p64 - tau) >= BAND
-            want = (p64 >= tau) & grid.to_dense()
+            want = (p64 >= tau) & grid.to_dense() if init == "he" else p64 >= tau
             assert np.array_equal(pred[settled], want[settled])
 
     def test_step_by_step_chain_equals_predict_pvs(self, rng):
@@ -390,3 +390,18 @@ class TestTraining:
         fnr, fpr = evaluate_pairs(net, x, y, 0.5)
         assert fnr == 0.0
         assert fpr == (geo & ~gt).sum() / gt.sum()
+
+    def test_validation_rates_rate_predict_pvs(self, rng):
+        """Validation scores the grids predict_pvs ships, bit for bit."""
+        geos = [FroxelGrid.from_dense(rng.random((8, 8, 8)) < 0.3) for _ in range(2)]
+        gts = [FroxelGrid.from_dense(g.to_dense() & (rng.random((8, 8, 8)) < 0.5))
+               for g in geos]
+        net = _he_net(2, (3, 3), seed=3)
+        x = np.stack([interleave(g.to_dense().astype(np.float64), 2).values for g in geos])
+        y = np.stack([interleave(g.to_dense().astype(np.float64), 2).values for g in gts])
+        preds = [predict_pvs(g, net, 0.4).to_dense() for g in geos]
+        fn = sum(int((~p & g.to_dense()).sum()) for p, g in zip(preds, gts))
+        fp = sum(int((p & ~g.to_dense()).sum()) for p, g in zip(preds, gts))
+        gtp = sum(g.occupied_count() for g in gts)
+        assert 0 < fn < gtp and fp > 0
+        assert evaluate_pairs(net, x, y, 0.4) == (fn / gtp, fp / gtp)
