@@ -70,11 +70,6 @@ class Vec3:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=np.float64)
 
-    @staticmethod
-    def from_array(a) -> "Vec3":
-        a = np.asarray(a, dtype=np.float64).reshape(3)
-        return Vec3(float(a[0]), float(a[1]), float(a[2]))
-
 
 def rotate_about(v: Vec3, axis: Vec3, angle_deg: float) -> Vec3:
     """Rodrigues rotation of ``v`` around the unit ``axis`` by ``angle_deg``."""
@@ -429,7 +424,8 @@ def load_scene(path) -> TriScene:
     """Load a Wavefront-style ASCII mesh (v/f records, 1-based indices).
 
     Named groups (``g``) delimit objects; faces with more than three vertices
-    are fan-triangulated.
+    are fan-triangulated. A ``v`` record with fewer than 3 coordinates or an
+    ``f`` record with fewer than 3 indices raises ValueError naming its line.
     """
     verts = []
     tris = []
@@ -444,10 +440,13 @@ def load_scene(path) -> TriScene:
                 objects.append(SceneObject(name, start, upto))
             current = None
 
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         parts = line.split()
         if not parts or parts[0].startswith("#"):
             continue
+        if parts[0] in ("v", "f") and len(parts) < 4:
+            raise ValueError(f"{path}:{lineno}: {parts[0]!r} record needs 3 values, "
+                             f"got {len(parts) - 1}")
         if parts[0] == "v":
             verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
         elif parts[0] == "f":

@@ -1,16 +1,16 @@
-"""Volumetric convolutional PVS estimator: dense float64 training, sparse
-float32 inference.
+"""Volumetric convolutional PVS estimator with one table-driven kernel.
 
 The network maps an interleaved geometry tensor to per-froxel visibility
 probabilities. Layers are 3D cross-correlations with zero padding (spatial
-dims preserved) and hand-derived backward passes. Training runs every cell
-densely in float64, as k^3 shifted GEMMs into one accumulator without an
-im2col buffer, so gradients check out against central finite differences.
-Inference (:func:`predict_pvs`) runs in float32 and computes only the cells
-that can reach an occupied froxel: submanifold-style sparse convolution
-(Graham & van der Maaten, arXiv:1706.01307) done as a row gather plus a GEMM
-per kernel offset over a neighbour table (Choy et al., CVPR 2019). Its
-output is masked by the geometry grid.
+dims preserved) and hand-derived backward passes. Every layer call, dense or
+sparse, forward or backward, walks a neighbour table (:func:`conv_rules`):
+per kernel offset, a row gather plus one GEMM, as in submanifold sparse
+convolution (Graham & van der Maaten, arXiv:1706.01307; Choy et al., CVPR
+2019). A dense grid is the table with every cell present. Training runs
+dense in float64, so gradients check out against central finite
+differences. Inference (:func:`predict_pvs`) runs in float32 and computes
+only the cells that can reach an occupied froxel; its output is masked by
+the geometry grid.
 
 Losses follow the conventional confusion-count reading: on soft predictions
 p and binary ground truth g, TP = sum(p*g), FP = sum(p*(1-g)),
@@ -192,71 +192,44 @@ class Conv3d:
             w[(k ** 3) // 2, j, j] += gain
         self.w = w.reshape(k ** 3 * cin, cout)
 
-    def _windows(self, shape):
-        """Per kernel offset, in weight-row order, the index of its input
-        window within the padded input."""
-        k = self.spec.kernel
-        _, d, h, w, _ = shape
-        for a, b, c in np.ndindex(k, k, k):
-            yield np.s_[:, a:a + d, b:b + h, c:c + w, :]
-
     def forward(self, x: np.ndarray, keep_cache: bool = False, rules=None):
         """Returns the activation output, plus a backward cache when asked.
 
-        The pre-activation is k^3 shifted GEMMs into one accumulator
-        (kn2row; Vasudevan, Anderson & Gregg, ASAP 2017): each kernel offset
-        multiplies its window of the once-padded input by its (C_in, C_out)
-        weight slice, so no k^3 * C_in column buffer is built. Without a
-        cache the layer runs in float32; with one it runs in float64 and
-        keeps the padded input for :meth:`backward`.
-
-        With ``rules``, a neighbour table from :func:`conv_rules`, the layer
-        runs sparse in float32: ``x`` holds one (C_in,) row per input cell
-        and the result one (C_out,) row per output cell. Per offset j, each
-        output row with a neighbour adds ``x[rules[j]] @ w_j``, in the same
-        offset order as the dense pass; a missing neighbour adds zero, as
-        zero padding does, so a row with none keeps its bias.
+        One kernel serves every caller: per kernel offset j, in weight-row
+        order, the rows of a neighbour table (:func:`conv_rules`) that have
+        an input neighbour add ``x[in_j] @ w_j`` to their bias. A missing
+        neighbour adds zero, as zero padding does, so a row with none keeps
+        its bias. With ``rules``, ``x`` holds one (C_in,) row per input cell
+        and the result one (C_out,) row per output cell. Without, ``x`` is a
+        dense (B, D, H, W, C_in) tensor, run through the full grid's table
+        with its rows offset per batch item, and the result is 5D.
+        Without a cache the layer runs in float32; with one it runs in
+        float64 and keeps what :meth:`backward` needs.
         """
-        if rules is not None:
-            return self._sparse_forward(x, rules)
-        if x.ndim != 5 or x.shape[4] != self.spec.in_channels:
-            raise ValueError(
-                f"expected (B, D, H, W, {self.spec.in_channels}) input, got {x.shape}")
-        dtype = np.float64 if keep_cache else np.float32
-        k = self.spec.kernel
-        p = k // 2
-        bsz, d, h, w, cin = x.shape
-        cout = self.spec.out_channels
-        xpad = np.pad(x.astype(dtype, copy=False), ((0, 0), (p, p), (p, p), (p, p), (0, 0)))
-        taps = self.w.astype(dtype, copy=False).reshape(k ** 3, cin, cout)
-        shifted = np.empty(x.shape, dtype=dtype)
-        z = np.empty((bsz * d * h * w, cout), dtype=dtype)
-        prod = np.empty_like(z)
-        z[:] = self.b
-        for j, win in enumerate(self._windows(x.shape)):
-            np.copyto(shifted, xpad[win])
-            np.matmul(shifted.reshape(-1, cin), taps[j], out=prod)
-            z += prod
-        z = z.reshape(bsz, d, h, w, cout)
-        y = self._activate(z)
-        if not keep_cache:
-            return y
-        return y, (xpad, z, y, x.shape)
-
-    def _sparse_forward(self, x: np.ndarray, rules: np.ndarray) -> np.ndarray:
         k, cin, cout = self.spec.kernel, self.spec.in_channels, self.spec.out_channels
-        if x.ndim != 2 or x.shape[1] != cin:
-            raise ValueError(f"expected (rows, {cin}) input, got {x.shape}")
-        if rules.shape[0] != k ** 3:
-            raise ValueError(f"expected {k ** 3} kernel offsets, got {rules.shape[0]}")
-        x = x.astype(np.float32, copy=False)
-        taps = self.w.astype(np.float32).reshape(k ** 3, cin, cout)
-        z = np.empty((rules.shape[1], cout), dtype=np.float32)
+        if rules is None:
+            if x.ndim != 5 or x.shape[4] != cin:
+                raise ValueError(f"expected (B, D, H, W, {cin}) input, got {x.shape}")
+            rules, rows = _dense_rules(x.shape, k), x.reshape(-1, cin)
+        else:
+            if x.ndim != 2 or x.shape[1] != cin:
+                raise ValueError(f"expected (rows, {cin}) input, got {x.shape}")
+            if rules.shape[0] != k ** 3:
+                raise ValueError(f"expected {k ** 3} kernel offsets, got {rules.shape[0]}")
+            rows = x
+        dtype = np.float64 if keep_cache else np.float32
+        rows = rows.astype(dtype, copy=False)
+        taps = self.w.astype(dtype, copy=False).reshape(k ** 3, cin, cout)
+        z = np.empty((rules.shape[1], cout), dtype=dtype)
         z[:] = self.b
         for j, ins in enumerate(rules):
             outs = np.flatnonzero(ins >= 0)
-            z[outs] += x[ins[outs]] @ taps[j]
-        return self._activate(z)
+            z[outs] += rows[ins[outs]] @ taps[j]
+        y = self._activate(z)
+        out = y.reshape(*x.shape[:-1], cout) if x.ndim == 5 else y
+        if not keep_cache:
+            return out
+        return out, (rows, rules, z, y, x.shape)
 
     def _activate(self, z: np.ndarray) -> np.ndarray:
         act = self.spec.activation
@@ -266,15 +239,19 @@ class Conv3d:
             return _sigmoid(z)
         return z
 
-    def backward(self, dy: np.ndarray, cache):
+    def backward(self, dy: np.ndarray, cache, need_dx: bool = True):
         """Gradients of the scalar loss w.r.t. (input, weights, bias).
 
-        Walks the same k^3 windows as :meth:`forward`: per offset j,
-        ``dw[j] = window_j^T dz`` and ``dxpad[window_j] += dz w_j^T``.
+        Walks the forward's neighbour table: per offset j,
+        ``dw[j] = x[in_j]^T dz[out_j]`` and ``dx[in_j] += dz[out_j] w_j^T``.
+        The input gradient comes back in the input's shape, or as None when
+        ``need_dx`` is off.
         """
         if cache is None:
             raise ValueError("backward requires the forward cache")
-        xpad, z, y, xshape = cache
+        rows, rules, z, y, xshape = cache
+        k, cin, cout = self.spec.kernel, self.spec.in_channels, self.spec.out_channels
+        dy = dy.reshape(-1, cout)
         act = self.spec.activation
         if act == "relu":
             dz = dy * (z > 0)
@@ -282,21 +259,18 @@ class Conv3d:
             dz = dy * y * (1.0 - y)
         else:
             dz = dy
-        k = self.spec.kernel
-        p = k // 2
-        _, d, h, w, cin = xshape
-        cout = self.spec.out_channels
-        flat_dz = dz.reshape(-1, cout)
         taps = self.w.reshape(k ** 3, cin, cout)
         dw = np.empty_like(taps)
-        dxpad = np.zeros_like(xpad)
-        shifted = np.empty(xshape)
-        for j, win in enumerate(self._windows(xshape)):
-            np.copyto(shifted, xpad[win])
-            dw[j] = shifted.reshape(-1, cin).T @ flat_dz
-            dxpad[win] += (flat_dz @ taps[j].T).reshape(xshape)
-        dx = dxpad[:, p:p + d, p:p + h, p:p + w, :]
-        return dx, dw.reshape(k ** 3 * cin, cout), flat_dz.sum(axis=0)
+        dx = np.zeros_like(rows) if need_dx else None
+        for j, ins in enumerate(rules):
+            outs = np.flatnonzero(ins >= 0)
+            src, dz_j = ins[outs], dz[outs]
+            dw[j] = rows[src].T @ dz_j
+            if need_dx:
+                dx[src] += dz_j @ taps[j].T
+        if need_dx:
+            dx = dx.reshape(xshape)
+        return dx, dw.reshape(k ** 3 * cin, cout), dz.sum(axis=0)
 
 
 class PvsNet:
@@ -313,12 +287,6 @@ class PvsNet:
             self.layers[-1].seed_identity(rng, self.OUTPUT_GAIN)
             self.layers[-1].b[:] = -self.OUTPUT_GAIN / 2.0
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Float32 inference pass; see :meth:`Conv3d.forward`."""
-        for layer in self.layers:
-            x = layer.forward(x)
-        return x
-
     def forward_cached(self, x: np.ndarray):
         caches = []
         for layer in self.layers:
@@ -327,12 +295,13 @@ class PvsNet:
         return x, caches
 
     def backward(self, dy: np.ndarray, caches):
-        """Per-layer (dw, db) gradients plus the input gradient."""
+        """Per-layer (dw, db) gradients. The network's input gradient is
+        never formed: training has no use for it."""
         grads = [None] * len(self.layers)
         for i in reversed(range(len(self.layers))):
-            dy, dw, db = self.layers[i].backward(dy, caches[i])
+            dy, dw, db = self.layers[i].backward(dy, caches[i], need_dx=i > 0)
             grads[i] = (dw, db)
-        return grads, dy
+        return grads
 
     def sgd_step(self, grads, lr: float):
         for layer, (dw, db) in zip(self.layers, grads):
@@ -474,24 +443,31 @@ def _tensor_pairs(pairs, d: int):
     return np.stack(xs), np.stack(ys)
 
 
-def _epoch_rates(tp, fp, fn, gtp):
-    if gtp == 0:
-        return 0.0, 0.0
-    return fn / gtp, fp / gtp
+def _shipped(p: np.ndarray, x: np.ndarray, tau: float) -> np.ndarray:
+    """The PVS that :func:`predict_pvs` ships for output ``p`` on geometry
+    ``x``: ``p >= tau``, masked by geometry."""
+    return (p >= tau) & (x > 0.5)
+
+
+def _hard_counts(p, x, y, tau) -> np.ndarray:
+    """FN, FP and GTP of the shipped PVS against the ground truth ``y``."""
+    bits = _shipped(p, x, tau)
+    gt = y > 0.5
+    return np.array([np.count_nonzero(gt & ~bits), np.count_nonzero(bits & ~gt),
+                     np.count_nonzero(gt)])
+
+
+def _rates(counts):
+    """(FNR, FPR) = (FN, FP) / GTP; 0 for empty ground truth."""
+    fn, fp, gtp = (int(c) for c in counts)
+    return (0.0, 0.0) if gtp == 0 else (fn / gtp, fp / gtp)
 
 
 def evaluate_pairs(net: PvsNet, x: np.ndarray, y: np.ndarray, tau: float):
     """Hard FNR/FPR over a stacked pair set of the predictions that
     :func:`predict_pvs` ships: thresholded and masked by geometry."""
-    tp = fp = fn = gtp = 0
-    for i in range(len(x)):
-        pred = _predict_bits(net, x[i], tau)
-        gt = y[i] > 0.5
-        tp += int((pred & gt).sum())
-        fp += int((pred & ~gt).sum())
-        fn += int((~pred & gt).sum())
-        gtp += int(gt.sum())
-    return _epoch_rates(tp, fp, fn, gtp)
+    return _rates(sum(_hard_counts(_sparse_output(net, x[i]), x[i], y[i], tau)
+                      for i in range(len(x))))
 
 
 def train(pairs, mcfg: ModelConfig, tcfg: TrainConfig, eval_pairs=None,
@@ -500,9 +476,10 @@ def train(pairs, mcfg: ModelConfig, tcfg: TrainConfig, eval_pairs=None,
 
     ``pairs`` is a manifest path or a list of (geometry, gt) FroxelGrids.
     Returns ``(net, history)`` where history holds one dict per epoch with
-    the mean combined loss and hard FNR/FPR at threshold tau (plus held-out
-    rates when ``eval_pairs`` is given). Deterministic for a fixed seed. With
-    ``verbose`` each epoch's dict goes to stdout as one JSON line.
+    the mean combined loss and the hard FNR/FPR, at threshold tau, of the
+    PVS that :func:`predict_pvs` ships: masked by geometry, as the held-out
+    rates are when ``eval_pairs`` is given. Deterministic for a fixed seed.
+    With ``verbose`` each epoch's dict goes to stdout as one JSON line.
     """
     if isinstance(pairs, (str, Path)):
         pairs = load_pairs(pairs)
@@ -516,7 +493,7 @@ def train(pairs, mcfg: ModelConfig, tcfg: TrainConfig, eval_pairs=None,
     for epoch in range(tcfg.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        tp = fp = fn = gtp = 0
+        counts = np.zeros(3, dtype=np.int64)
         for start in range(0, n, tcfg.batch_size):
             batch = order[start:start + tcfg.batch_size]
             bx, by = x[batch], y[batch]
@@ -531,17 +508,12 @@ def train(pairs, mcfg: ModelConfig, tcfg: TrainConfig, eval_pairs=None,
             grad /= len(batch)
             if not np.isfinite(loss):
                 raise TrainingDiverged(start // tcfg.batch_size, loss)
-            grads, _ = net.backward(grad, caches)
+            grads = net.backward(grad, caches)
             net.sgd_step(grads, tcfg.lr * (1.0 - tcfg.decay) ** step)
             step += 1
             epoch_loss += loss * len(batch)
-            hard = pred >= tcfg.tau
-            hgt = by > 0.5
-            tp += int((hard & hgt).sum())
-            fp += int((hard & ~hgt).sum())
-            fn += int((~hard & hgt).sum())
-            gtp += int(hgt.sum())
-        fnr, fpr = _epoch_rates(tp, fp, fn, gtp)
+            counts += _hard_counts(pred, bx, by, tcfg.tau)
+        fnr, fpr = _rates(counts)
         entry = {"epoch": epoch, "loss": epoch_loss / max(n, 1), "fnr": fnr, "fpr": fpr}
         if ev is not None:
             entry["val_fnr"], entry["val_fpr"] = evaluate_pairs(net, ev[0], ev[1], tcfg.tau)
@@ -588,12 +560,22 @@ def conv_rules(out_cells: np.ndarray, in_cells: np.ndarray, k: int) -> np.ndarra
     return rows.reshape(-1)[offsets[:, None] + ((x * s1 + y) * s2 + z)]
 
 
-def _predict_bits(net: PvsNet, x: np.ndarray, tau: float) -> np.ndarray:
-    """``(p >= tau) & (x > 0.5)`` on one interleaved (D, H, W, C) geometry
-    tensor ``x``, where p is the network's output, computed sparsely.
+def _dense_rules(shape, k: int) -> np.ndarray:
+    """:func:`conv_rules` of a full (B, D, H, W, C) tensor's C-order rows:
+    the full grid's table, its rows offset by each batch item's start."""
+    bsz, d, h, w, _ = shape
+    full = np.ones((d, h, w), dtype=bool)
+    rules = conv_rules(full, full, k)
+    start = rules.shape[1] * np.arange(bsz)[:, None]
+    return np.where(rules[:, None] >= 0, rules[:, None] + start, -1).reshape(k ** 3, -1)
 
-    The last layer runs only at cells holding a set froxel, and each earlier
-    layer only at the cells its successor's kernel reaches from there.
+
+def _sparse_output(net: PvsNet, x: np.ndarray) -> np.ndarray:
+    """The network's float32 output on one interleaved (D, H, W, C)
+    geometry tensor ``x`` at the cells holding a set froxel, and 0 elsewhere.
+
+    The last layer runs only at those cells, and each earlier layer only at
+    the cells its successor's kernel reaches from there.
     """
     occupied = x.any(axis=3)
     computed = [occupied]
@@ -603,9 +585,9 @@ def _predict_bits(net: PvsNet, x: np.ndarray, tau: float) -> np.ndarray:
     for layer, cells in zip(net.layers, computed):
         feats = layer.forward(feats, rules=conv_rules(cells, read, layer.spec.kernel))
         read = cells
-    bits = np.zeros(x.shape, dtype=bool)
-    bits[occupied] = (feats >= tau) & (x[occupied] > 0.5)
-    return bits
+    p = np.zeros(x.shape, dtype=np.float32)
+    p[occupied] = feats
+    return p
 
 
 def predict_pvs(grid: FroxelGrid, net, tau: float = 0.5) -> FroxelGrid:
@@ -626,5 +608,5 @@ def predict_pvs(grid: FroxelGrid, net, tau: float = 0.5) -> FroxelGrid:
     x = interleave(grid.to_dense().astype(np.float32), d).values
     if x.shape[3] != net.cfg.layers[0].in_channels:
         raise ValueError("grid/channel mismatch against the checkpoint")
-    bits = _predict_bits(net, x, tau)
+    bits = _shipped(_sparse_output(net, x), x, tau)
     return FroxelGrid.from_dense(deinterleave(ChannelTensor(bits, d)), role="predicted_pvs")

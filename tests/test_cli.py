@@ -47,6 +47,10 @@ CASES = {
     "--motion is no flag": (["gt", "--motion", "m.txt", "--scene", "{missing}",
                              "--out", "{out}"], EXIT_USAGE),
     "bench is no command": (["bench", "--out", "{out}"], EXIT_USAGE),
+    "scene vertex with 2 coordinates": (["gt", "--scene", "{short_v}", "--out", "{out}"],
+                                        EXIT_VALIDATION),
+    "scene face with 2 indices": (["gt", "--scene", "{short_f}", "--out", "{out}"],
+                                  EXIT_VALIDATION),
     "supersample is no config key": (
         ["eval", "--config", "{supersample}", "--pred", "{a}", "--gt", "{a}",
          "--out", "{out}"], EXIT_USAGE),
@@ -59,13 +63,16 @@ def test_exit_code(case, tmp_path, capsys):
     paths = {"a": tmp_path / "a.fpvs", "b": tmp_path / "b.fpvs", "out": tmp_path / "m.csv",
              "missing": tmp_path / "missing.fpvw", "bad_key": tmp_path / "bad.cfg",
              "threshold": tmp_path / "threshold.cfg", "bad_value": tmp_path / "value.cfg",
-             "supersample": tmp_path / "supersample.cfg", "data": tmp_path / "data"}
+             "supersample": tmp_path / "supersample.cfg", "data": tmp_path / "data",
+             "short_v": tmp_path / "short_v.obj", "short_f": tmp_path / "short_f.obj"}
     FroxelGrid((16, 16, 16)).save(paths["a"])
     FroxelGrid((8, 8, 8)).save(paths["b"])
     paths["bad_key"].write_text("no_such_key = 1\n")
     paths["threshold"].write_text("threshold_distance = 10\n")
     paths["bad_value"].write_text("seed = many\n")
     paths["supersample"].write_text("supersample = 4\n")
+    paths["short_v"].write_text("v 0 0 0\nv 1 0\n")
+    paths["short_f"].write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2\n")
     rc = main([arg.format(**paths) for arg in argv])
     assert rc == want
     assert "Traceback" not in capsys.readouterr().err

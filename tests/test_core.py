@@ -212,6 +212,13 @@ f 2 4 3
         path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
         assert len(load_scene(path)) == 2
 
+    @pytest.mark.parametrize("record", ["v 1 0", "f 1 2"])
+    def test_short_records_rejected(self, record, tmp_path):
+        path = tmp_path / "short.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{record}\n")
+        with pytest.raises(ValueError, match=":4:"):
+            load_scene(path)
+
 
 class TestCameraValidation:
     def test_rejects_non_orthonormal_basis(self):

@@ -192,12 +192,35 @@ def _im2col_reference(layer, x, dz):
     return z, (dx, cols.T @ flat_dz, flat_dz.sum(axis=0))
 
 
+def _check_central_differences(layer, x, g, rules=None):
+    """The layer's (dx, dw, db) for the loss sum(y * g) against central
+    differences."""
+    def loss():
+        y, _ = layer.forward(x, keep_cache=True, rules=rules)
+        return float((y * g).sum())
+
+    _, cache = layer.forward(x, keep_cache=True, rules=rules)
+    dx, dw, db = layer.backward(g, cache)
+    eps = 1e-6
+    for arr, grad in ((x, dx), (layer.w, dw), (layer.b, db)):
+        numeric = np.empty_like(arr)
+        for i in np.ndindex(arr.shape):
+            keep = arr[i]
+            arr[i] = keep + eps
+            up = loss()
+            arr[i] = keep - eps
+            down = loss()
+            arr[i] = keep
+            numeric[i] = (up - down) / (2 * eps)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-5, atol=1e-7)
+
+
 class TestConv3dGradients:
     @pytest.mark.parametrize("bsz", [1, 2])
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_matches_im2col_reference(self, k, bsz, rng):
-        """The shifted-GEMM kernel computes what im2col does, so checkpoints
-        keep the (a*k + b)*k + c weight-row layout."""
+        """The table kernel computes what im2col does, so checkpoints keep
+        the (a*k + b)*k + c weight-row layout."""
         layer = _layer(k, 3, 4, "none", seed=k)
         x = rng.normal(0.0, 1.0, (bsz, 4, 5, 6, 3))
         dz = rng.normal(0.0, 1.0, (bsz, 4, 5, 6, 4))
@@ -213,25 +236,20 @@ class TestConv3dGradients:
         layer = _layer(3, 2, 3, act, seed=7)
         x = rng.normal(0.0, 1.0, (2, 3, 2, 3, 2))
         g = rng.normal(0.0, 1.0, (2, 3, 2, 3, 3))
+        _check_central_differences(layer, x, g)
 
-        def loss():
-            y, _ = layer.forward(x, keep_cache=True)
-            return float((y * g).sum())
-
-        _, cache = layer.forward(x, keep_cache=True)
-        dx, dw, db = layer.backward(g, cache)
-        eps = 1e-6
-        for arr, grad in ((x, dx), (layer.w, dw), (layer.b, db)):
-            numeric = np.empty_like(arr)
-            for i in np.ndindex(arr.shape):
-                keep = arr[i]
-                arr[i] = keep + eps
-                up = loss()
-                arr[i] = keep - eps
-                down = loss()
-                arr[i] = keep
-                numeric[i] = (up - down) / (2 * eps)
-            np.testing.assert_allclose(grad, numeric, rtol=1e-5, atol=1e-7)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_sparse_table_backward_matches_central_differences(self, k, rng):
+        """dx, dw and db through a neighbour table whose in and out cell
+        sets differ and whose rows miss neighbours."""
+        layer = _layer(k, 2, 3, "sigmoid", seed=k)
+        out_cells = rng.random((3, 4, 3)) < 0.5
+        in_cells = rng.random((3, 4, 3)) < 0.4
+        rules = conv_rules(out_cells, in_cells, k)
+        assert (rules < 0).any() and not np.array_equal(out_cells, in_cells)
+        x = rng.normal(0.0, 1.0, (int(in_cells.sum()), 2))
+        g = rng.normal(0.0, 1.0, (int(out_cells.sum()), 3))
+        _check_central_differences(layer, x, g, rules)
 
     def test_backward_requires_cache(self):
         with pytest.raises(ValueError):
@@ -390,6 +408,17 @@ class TestTraining:
         fnr, fpr = evaluate_pairs(net, x, y, 0.5)
         assert fnr == 0.0
         assert fpr == (geo & ~gt).sum() / gt.sum()
+
+    def test_epoch_rates_are_masked_by_geometry(self, rng):
+        """At tau = 0 the shipped PVS is the geometry grid, in training as
+        in validation."""
+        geo = rng.random((8, 8, 8)) < 0.3
+        gt = geo & (rng.random(geo.shape) < 0.5)
+        pair = (FroxelGrid.from_dense(geo), FroxelGrid.from_dense(gt, role="gt_pvs"))
+        _, (entry,) = train([pair], ModelConfig.default(2, hidden=4),
+                            TrainConfig(epochs=1, tau=0.0), eval_pairs=[pair])
+        assert entry["fnr"] == entry["val_fnr"] == 0.0
+        assert entry["fpr"] == entry["val_fpr"] == (geo & ~gt).sum() / gt.sum()
 
     def test_validation_rates_rate_predict_pvs(self, rng):
         """Validation scores the grids predict_pvs ships, bit for bit."""
