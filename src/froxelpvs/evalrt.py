@@ -1,20 +1,22 @@
 """Quantitative evaluation and the PVS consumption side.
 
 Covers froxel-space confusion metrics, the image-space pixel error rate,
-primitive culling from a froxel PVS and the map that
+primitive culling from a froxel PVS and the
+:class:`~froxelpvs.froxel.FroxelIdMap` that
 :func:`~froxelpvs.froxel.froxel_id_map` builds, and the metrics CSV report.
+Culling works on the map's arrays: one gather of PVS bits, one
+``np.unique``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .core import Camera, TriScene
-from .froxel import FroxelGrid
+from .froxel import FroxelGrid, FroxelIdMap
 from .oracle import render_depth
 
 
@@ -54,16 +56,23 @@ def froxel_metrics(pred: FroxelGrid, gt: FroxelGrid, frame: int = 0,
     return MetricsRecord(frame, fn / gtp, fp / gtp, per, tp, fp, fn, gtp)
 
 
-def cull(scene: TriScene, pvs: FroxelGrid, id_map: dict) -> set:
-    """Primitive ids that appear in at least one PVS-marked froxel."""
-    coords = np.fromiter(itertools.chain.from_iterable(id_map), dtype=np.int64,
-                         count=3 * len(id_map)).reshape(-1, 3)
-    marked = pvs.get_many(coords)
-    return set().union(*itertools.compress(id_map.values(), marked))
+def cull(scene: TriScene, pvs: FroxelGrid, id_map: FroxelIdMap) -> set:
+    """Primitive ids that appear in at least one PVS-marked froxel.
+
+    Reads the PVS bit of each map row at once: with N_x a multiple of 8, flat
+    froxel index f sits in byte ``f >> 3``, bit ``f & 7``. The marked rows'
+    ids are then deduplicated in one ``np.unique``. A map built for other
+    dims than the PVS raises ``IndexError``.
+    """
+    if id_map.dims != pvs.dims:
+        raise IndexError(f"id map dims {id_map.dims} do not match PVS dims {pvs.dims}")
+    cells = id_map.cells
+    marked = ((pvs.bits[cells >> 3] >> (cells & 7).astype(np.uint8)) & 1).astype(bool)
+    return set(np.unique(id_map.ids[np.repeat(marked, np.diff(id_map.starts))]).tolist())
 
 
 def pixel_error_rate(scene: TriScene, camera: Camera, pvs: FroxelGrid,
-                     id_map: dict, resolution=(256, 256)) -> float:
+                     id_map: FroxelIdMap, resolution=(256, 256)) -> float:
     """Fraction of pixels whose visible primitive changes after culling.
 
     Both renders use the same deterministic rasterizer; a pixel exposing

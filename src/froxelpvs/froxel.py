@@ -10,7 +10,9 @@ froxel-to-primitive map, and the oracle's depth buffers.
 
 from __future__ import annotations
 
+import operator
 import struct
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -84,29 +86,14 @@ class FroxelGrid:
         byte = (x >> 3) + self.row_bytes * (y + self.dims[1] * z)
         return int(self.bits[byte] >> (x & 7)) & 1
 
-    def _checked(self, coords) -> np.ndarray:
+    def set_many(self, coords):
+        """Set a batch of (N, 3) integer froxel coordinates."""
         coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
         if (coords < 0).any() or (coords >= np.array(self.dims)).any():
             raise IndexError("froxel coordinate out of range")
-        return coords
-
-    def set_many(self, coords):
-        """Set a batch of (N, 3) integer froxel coordinates."""
-        coords = self._checked(coords)
-        if coords.size == 0:
-            return
-        self._set_unchecked(coords[:, 0], coords[:, 1], coords[:, 2])
-
-    def get_many(self, coords) -> np.ndarray:
-        """Boolean occupancy of a batch of (N, 3) integer froxel coordinates."""
-        x, y, z = self._checked(coords).T
+        x, y, z = coords.T
         byte = (x >> 3) + self.row_bytes * (y + self.dims[1] * z)
-        return ((self.bits[byte] >> (x & 7)) & 1).astype(bool)
-
-    def _set_unchecked(self, x, y, z):
-        byte = (x >> 3) + self.row_bytes * (y + self.dims[1] * z)
-        mask = (np.uint8(1) << (x & 7).astype(np.uint8)).astype(np.uint8)
-        np.bitwise_or.at(self.bits, byte, mask)
+        np.bitwise_or.at(self.bits, byte, (1 << (x & 7)).astype(np.uint8))
 
     # -- views and counts ---------------------------------------------------
     def to_dense(self) -> np.ndarray:
@@ -221,19 +208,20 @@ def clip_triangles_halfspace(tris: np.ndarray, dist: np.ndarray):
     return fans[emit], np.repeat(np.arange(n), 2)[emit]
 
 
-def interp_affine(attrs: np.ndarray, b1, b2):
-    """Interpolate per-vertex attributes (N, 3) with the weights of vertices
-    1 and 2; anchoring at vertex 0 keeps constant attributes bit-exact."""
-    return attrs[:, 0] + b1 * (attrs[:, 1] - attrs[:, 0]) \
-        + b2 * (attrs[:, 2] - attrs[:, 0])
+def interp_affine(attrs: np.ndarray, tri, b1, b2):
+    """Interpolate per-vertex attributes (T, 3) over samples of triangles
+    ``tri`` with the weights of vertices 1 and 2; anchoring at vertex 0
+    keeps constant attributes bit-exact. The vertex differences are taken
+    per triangle and gathered per sample."""
+    a0 = attrs[:, 0]
+    return a0[tri] + b1 * (attrs[:, 1] - a0)[tri] + b2 * (attrs[:, 2] - a0)[tri]
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray):
     """Concatenated integer ranges ``[s, s + n)``, and for each element the
     index of the range it came from."""
     owner = np.repeat(np.arange(len(counts)), counts)
-    first = np.cumsum(counts) - counts
-    return starts[owner] + np.arange(len(owner)) - first[owner], owner
+    return np.arange(len(owner)) + (starts - (np.cumsum(counts) - counts))[owner], owner
 
 
 def iter_raster_chunks(tris2d: np.ndarray, width: int, height: int,
@@ -310,19 +298,17 @@ def iter_raster_chunks(tris2d: np.ndarray, width: int, height: int,
         sx = v0[row_t, 0] - 0.5
         xa = np.clip(np.ceil(lo + sx) - 1, x0[row_t], x1[row_t]).astype(np.int64)
         xb = np.clip(np.floor(hi + sx) + 2, x0[row_t], x1[row_t]).astype(np.int64)
-        px, pair_r = _ranges(xa, np.maximum(xb - xa, 0))
-        py = row_y[pair_r]
-        gsel = row_t[pair_r]
-        dx = (px + 0.5) - v0[gsel, 0]
-        dy = (py + 0.5) - v0[gsel, 1]
-        dd = den[gsel]
-        b1 = (dx * e2[gsel, 1] - e2[gsel, 0] * dy) / dd
-        b2 = (e1[gsel, 0] * dy - dx * e1[gsel, 1]) / dd
-        b0 = 1.0 - b1 - b2
-        inside = (b0 >= 0) & (b1 >= 0) & (b2 >= 0)
-        if inside.any():
-            yield (gsel[inside], px[inside], py[inside],
-                   b1[inside], b2[inside])
+        px, r = _ranges(xa, np.maximum(xb - xa, 0))
+        # per-row factors gathered per sample; ry is the sample's dy, so each
+        # product equals its per-sample form
+        dx = (px + 0.5) - v0[row_t, 0][r]
+        dd = den[row_t][r]
+        b1 = (dx * e2[row_t, 1][r] - (e2[row_t, 0] * ry)[r]) / dd
+        b2 = ((e1[row_t, 0] * ry)[r] - dx * e1[row_t, 1][r]) / dd
+        inside = np.flatnonzero((1.0 - b1 - b2 >= 0) & (b1 >= 0) & (b2 >= 0))
+        if len(inside):
+            r = r[inside]
+            yield row_t[r], px[inside], row_y[r], b1[inside], b2[inside]
         start = stop
 
 
@@ -356,8 +342,13 @@ def screen_triangles(scene: TriScene, origin: np.ndarray, basis: np.ndarray,
 
 def _fragment_stream(scene: TriScene, frustum: Frustum, dims):
     """Rasterize the scene through the frustum at ``SUPERSAMPLE`` times the
-    froxel resolution in x and y; yields chunks ``(froxel indices (N, 3),
-    source triangle)``."""
+    froxel resolution in x and y; yields chunks ``(flat froxel indices,
+    source triangle)``, where flat = x + N_x * (y + N_y * z).
+
+    x and y are the sample's pixel divided by ``SUPERSAMPLE``, which equals
+    :func:`quantize` of its center: ``(px + 0.5) / sx * nx`` lies at least
+    1/8 from an integer. z is ``floor(w * N_z)``, clamped at w = 1.
+    """
     nx, ny, nz = dims = tuple(int(d) for d in dims)
     if nx % 8 != 0:
         raise ValueError(f"N_x must be divisible by 8, got {nx}")
@@ -367,15 +358,15 @@ def _fragment_stream(scene: TriScene, frustum: Frustum, dims):
                                          frustum.far, sx, sy)
     wv = depth_to_w(frustum, 1.0 / invz)
     for tri, px, py, b1, b2 in iter_raster_chunks(tris2d, sx, sy):
-        inv = interp_affine(invz[tri], b1, b2)
+        inv = interp_affine(invz, tri, b1, b2)
         # perspective-corrected weights keep depth exact on constant-z faces
-        w = interp_affine(wv[tri], b1 * invz[tri, 1] / inv, b2 * invz[tri, 2] / inv)
-        keep = (w >= 0) & (w <= 1)
-        if not keep.any():
+        w = interp_affine(wv, tri, b1 * invz[tri, 1] / inv, b2 * invz[tri, 2] / inv)
+        keep = np.flatnonzero((w >= 0) & (w <= 1))
+        if len(keep) == 0:
             continue
-        uvw = np.column_stack([(px[keep] + 0.5) / sx, (py[keep] + 0.5) / sy, w[keep]])
-        idx = quantize(uvw, dims)
-        yield idx, src[tri[keep]]
+        z = np.minimum((w[keep] * nz).astype(np.int64), nz - 1)
+        yield (px[keep] // SUPERSAMPLE + nx * (py[keep] // SUPERSAMPLE + ny * z),
+               src[tri[keep]])
 
 
 def froxelize(scene: TriScene, frustum: Frustum, dims) -> FroxelGrid:
@@ -386,39 +377,78 @@ def froxelize(scene: TriScene, frustum: Frustum, dims) -> FroxelGrid:
     sample's depth ``w`` comes from :func:`~froxelpvs.core.depth_to_w`.
     """
     grid = FroxelGrid(dims, role="geometry")
-    for idx, _src in _fragment_stream(scene, frustum, grid.dims):
-        grid._set_unchecked(idx[:, 0], idx[:, 1], idx[:, 2])
+    nx, ny, nz = grid.dims
+    occupied = np.zeros(nx * ny * nz, dtype=bool)
+    for flat, _src in _fragment_stream(scene, frustum, grid.dims):
+        occupied[flat] = True
+    grid.bits = np.packbits(occupied, bitorder="little")
     return grid
 
 
-def froxel_id_map(scene: TriScene, frustum: Frustum, dims) -> dict:
-    """Map each covered froxel to the set of primitive ids touching it.
+class FroxelIdMap(Mapping):
+    """Read-only map from froxel ``(x, y, z)`` to the set of primitive ids
+    touching it, held as compressed sparse rows.
+
+    ``cells`` holds the sorted flat indices x + N_x * (y + N_y * z) of the
+    covered froxels, and ``ids[starts[i]:starts[i + 1]]`` the sorted
+    primitive ids of ``cells[i]``. Keys iterate as tuples of ints in flat
+    order, that is by (z, y, x); a lookup builds its set on demand.
+    """
+
+    def __init__(self, dims, cells: np.ndarray, starts: np.ndarray, ids: np.ndarray):
+        self.dims = tuple(int(d) for d in dims)
+        self.cells, self.starts, self.ids = cells, starts, ids
+        for arr in (cells, starts, ids):
+            arr.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __iter__(self):
+        nx, ny, _ = self.dims
+        c = self.cells
+        return zip((c % nx).tolist(), (c // nx % ny).tolist(), (c // (nx * ny)).tolist())
+
+    def __getitem__(self, key) -> set:
+        try:
+            x, y, z = map(operator.index, key)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        nx, ny, nz = self.dims
+        if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
+            raise KeyError(key)
+        flat = x + nx * (y + ny * z)
+        i = int(np.searchsorted(self.cells, flat))
+        if i == len(self.cells) or self.cells[i] != flat:
+            raise KeyError(key)
+        return set(self.ids[self.starts[i]:self.starts[i + 1]].tolist())
+
+    def values(self) -> list:
+        """The id sets in key order, built in one pass."""
+        ids, bounds = self.ids.tolist(), self.starts.tolist()
+        return [set(ids[s:e]) for s, e in zip(bounds, bounds[1:])]
+
+
+def froxel_id_map(scene: TriScene, frustum: Frustum, dims) -> FroxelIdMap:
+    """Map each covered froxel to the primitive ids touching it.
 
     Shares the fragment traversal with :func:`froxelize`, so the key set
     matches the froxelized occupancy bit-exactly. Each (froxel, primitive)
     fragment becomes one scalar key ``flat * span + (pid - min_pid)``; one
-    sort deduplicates them and groups them by froxel.
+    ``np.unique`` deduplicates them and sorts them by froxel into the rows
+    of a :class:`FroxelIdMap`, which builds no Python set until one is read.
     """
-    nx, ny, nz = (int(d) for d in dims)
-    stream = _fragment_stream(scene, frustum, (nx, ny, nz))
+    dims = nx, ny, nz = tuple(int(d) for d in dims)
     pids = scene.primitive_ids
-    if len(pids) == 0:
-        return {}
-    lo = int(pids.min())
-    span = int(pids.max()) - lo + 1
+    lo = int(pids.min()) if len(pids) else 0
+    span = int(pids.max()) - lo + 1 if len(pids) else 1
     if nx * ny * nz * span > np.iinfo(np.int64).max:
         raise ValueError("primitive id range too wide for the froxel id map keys")
-    keys = []
-    for idx, src in stream:
-        flat = idx[:, 0] + nx * (idx[:, 1] + ny * idx[:, 2])
-        keys.append(flat * span + (pids[src] - lo))
-    if not keys:
-        return {}
+    keys = [np.zeros(0, dtype=np.int64)]
+    for flat, src in _fragment_stream(scene, frustum, dims):
+        key = flat * span + (pids[src] - lo)
+        # raster order puts a triangle's samples in one froxel next to each other
+        keys.append(key[np.flatnonzero(np.diff(key, prepend=-1))])
     flat, pid = np.divmod(np.unique(np.concatenate(keys)), span)
-    bounds = np.concatenate([[0], np.flatnonzero(np.diff(flat)) + 1, [len(flat)]])
-    cells = flat[bounds[:-1]]
-    coords = zip((cells % nx).tolist(), (cells // nx % ny).tolist(),
-                 (cells // (nx * ny)).tolist())
-    ids = (pid + lo).tolist()
-    return {c: set(ids[s:e]) for c, s, e in zip(coords, bounds[:-1].tolist(),
-                                                 bounds[1:].tolist())}
+    first = np.flatnonzero(np.diff(flat, prepend=-1))
+    return FroxelIdMap(dims, flat[first], np.append(first, len(flat)), pid + lo)

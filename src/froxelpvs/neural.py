@@ -157,11 +157,10 @@ class ConfusionCounts:
 # ---------------------------------------------------------------------------
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))      # never overflows
+    out = np.where(z >= 0, 1, e)
+    e += 1
+    out /= e
     return out
 
 
@@ -605,7 +604,7 @@ def predict_pvs(grid: FroxelGrid, net, tau: float = 0.5) -> FroxelGrid:
     d = net.cfg.d
     if any(dim % d for dim in grid.dims):
         raise ValueError(f"grid dims {grid.dims} not divisible by interleave factor {d}")
-    x = interleave(grid.to_dense().astype(np.float32), d).values
+    x = interleave(grid.to_dense(), d).values.astype(np.float32)
     if x.shape[3] != net.cfg.layers[0].in_channels:
         raise ValueError("grid/channel mismatch against the checkpoint")
     bits = _shipped(_sparse_output(net, x), x, tau)

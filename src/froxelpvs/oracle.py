@@ -94,7 +94,7 @@ def render_depth(scene: TriScene, camera: Camera, resolution) -> DepthBuffer:
                                              camera.far, w, h)
         chunks = []
         for tri, px, py, b1, b2 in iter_raster_chunks(tris2d, w, h):
-            depth = 1.0 / interp_affine(invz[tri], b1, b2)
+            depth = 1.0 / interp_affine(invz, tri, b1, b2)
             keep = depth <= camera.far
             if not keep.any():
                 continue

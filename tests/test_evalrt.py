@@ -7,17 +7,18 @@ import pytest
 from froxelpvs.core import TriScene, build_viewcell_frustum
 from froxelpvs.evalrt import (MetricsRecord, cull, froxel_metrics, read_metrics_csv,
                               write_metrics_csv)
-from froxelpvs.froxel import FroxelGrid, _fragment_stream, froxel_id_map
+from froxelpvs.froxel import FroxelGrid, FroxelIdMap, _fragment_stream, froxel_id_map
 from froxelpvs.scenegen import SceneGenConfig, generate_scene
 
 from conftest import PERSPECTIVE, default_cell
 
 
 def reference_id_map(scene, frustum, dims):
+    nx, ny, _ = dims
     mapping = {}
-    for idx, src in _fragment_stream(scene, frustum, dims):
-        for coord, pid in zip(map(tuple, idx.tolist()), scene.primitive_ids[src].tolist()):
-            mapping.setdefault(coord, set()).add(pid)
+    for flat, src in _fragment_stream(scene, frustum, dims):
+        for f, pid in zip(flat.tolist(), scene.primitive_ids[src].tolist()):
+            mapping.setdefault((f % nx, f // nx % ny, f // (nx * ny)), set()).add(pid)
     return mapping
 
 
@@ -60,7 +61,8 @@ class TestIdMapAndCull:
         frustum = build_viewcell_frustum(default_cell())
         scene = TriScene(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
         mapping = froxel_id_map(scene, frustum, (16, 16, 16))
-        assert mapping == {}
+        assert mapping == {} and {} == mapping
+        assert len(mapping) == 0 and list(mapping) == [] and (0, 0, 0) not in mapping
         assert cull(scene, FroxelGrid((16, 16, 16)), mapping) == set()
 
     def test_cull_with_full_and_empty_pvs(self):
@@ -75,6 +77,60 @@ class TestIdMapAndCull:
         mapping = froxel_id_map(scene, frustum, (16, 16, 16))
         with pytest.raises(IndexError):
             cull(scene, FroxelGrid((8, 8, 8)), mapping)
+
+    @pytest.mark.parametrize("dims", [(32, 16, 16), (16, 32, 16), (16, 16, 8)])
+    def test_cull_rejects_other_dims(self, dims):
+        scene, frustum = _scene(2)
+        mapping = froxel_id_map(scene, frustum, (16, 16, 16))
+        with pytest.raises(IndexError):
+            cull(scene, FroxelGrid.from_dense(np.ones(dims, dtype=bool)), mapping)
+
+
+class TestFroxelIdMap:
+    DIMS = (32, 16, 24)
+
+    def _maps(self):
+        scene, frustum = _scene(1)
+        return (froxel_id_map(scene, frustum, self.DIMS),
+                reference_id_map(scene, frustum, self.DIMS))
+
+    def test_is_a_mapping_of_int_sets(self):
+        mapping, ref = self._maps()
+        assert isinstance(mapping, FroxelIdMap) and len(mapping) == len(ref) > 0
+        for key in ref:
+            assert key in mapping
+            ids = mapping[key]
+            assert isinstance(ids, set) and ids == ref[key]
+            assert all(type(i) is int for i in ids)
+        assert list(mapping.values()) == [ref[k] for k in mapping]
+        assert list(mapping.items()) == [(k, ref[k]) for k in mapping]
+
+    def test_missing_keys(self):
+        mapping, ref = self._maps()
+        nx, ny, nz = self.DIMS
+        empty = next((x, y, z) for z in range(nz) for y in range(ny) for x in range(nx)
+                     if (x, y, z) not in ref)
+        for key in (empty, (nx, 0, 0), (-1, 0, 0), (0, 0, nz), (0.0, 0, 0), (0, 0),
+                    "xyz", None):
+            assert key not in mapping
+            with pytest.raises(KeyError):
+                mapping[key]
+        assert mapping.get(empty) is None
+
+    def test_keys_iterate_by_z_then_y_then_x(self):
+        mapping, ref = self._maps()
+        keys = list(mapping)
+        assert keys == sorted(ref, key=lambda c: (c[2], c[1], c[0]))
+        assert all(type(c) is int for key in keys for c in key)
+
+    def test_equals_reference_in_both_directions(self):
+        mapping, ref = self._maps()
+        assert mapping == ref and ref == mapping
+        key = next(iter(ref))
+        changed = ref | {key: ref[key] | {-7}}
+        assert mapping != changed and changed != mapping
+        del changed[key]
+        assert mapping != changed and changed != mapping
 
 
 def test_froxel_metrics_counts(rng):

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from froxelpvs.core import TriScene, Vec3, build_viewcell_frustum, unproject_ndc
-from froxelpvs.froxel import (_DEGEN_EPS, FroxelGrid, clip_triangles_halfspace,
-                              froxel_id_map, froxelize, iter_raster_chunks, quantize,
-                              screen_triangles)
+from froxelpvs.core import TriScene, Vec3, build_viewcell_frustum, depth_to_w, unproject_ndc
+from froxelpvs.froxel import (_DEGEN_EPS, SUPERSAMPLE, FroxelGrid, _fragment_stream,
+                              clip_triangles_halfspace, froxel_id_map, froxelize,
+                              interp_affine, iter_raster_chunks, quantize, screen_triangles)
+from froxelpvs.scenegen import SceneGenConfig, generate_scene
 
 from conftest import PERSPECTIVE, default_cell, quad_at
 
@@ -166,13 +167,6 @@ class TestFroxelGrid:
         assert rc == EXIT_VALIDATION
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_get_many_matches_get(self, rng):
-        grid = FroxelGrid.from_dense(rng.random((16, 8, 8)) < 0.3)
-        coords = np.column_stack([rng.integers(0, n, 200) for n in grid.dims])
-        assert grid.get_many(coords).tolist() == [bool(grid.get(*c)) for c in coords]
-        with pytest.raises(IndexError):
-            grid.get_many([[16, 0, 0]])
-
 
 def _exact_frustum():
     """Frustum whose depth arithmetic is exact in binary floating point."""
@@ -251,6 +245,61 @@ class TestFroxelize:
         assert grid.occupied_count() == 0
 
 
+def _quantized_stream_reference(scene, frustum, dims):
+    """The fragment stream with each sample's (u, v, w) run through
+    :func:`quantize`, and depth interpolated per sample from (N, 3) gathers."""
+    nx, ny, nz = dims
+    sx, sy = SUPERSAMPLE * nx, SUPERSAMPLE * ny
+    tris2d, invz, src = screen_triangles(scene, frustum._o, frustum._basis,
+                                         frustum.half_extent, frustum.near,
+                                         frustum.far, sx, sy)
+    wv = depth_to_w(frustum, 1.0 / invz)
+    for tri, px, py, b1, b2 in iter_raster_chunks(tris2d, sx, sy):
+        a = invz[tri]
+        inv = a[:, 0] + b1 * (a[:, 1] - a[:, 0]) + b2 * (a[:, 2] - a[:, 0])
+        c1, c2 = b1 * a[:, 1] / inv, b2 * a[:, 2] / inv
+        d = wv[tri]
+        w = d[:, 0] + c1 * (d[:, 1] - d[:, 0]) + c2 * (d[:, 2] - d[:, 0])
+        keep = (w >= 0) & (w <= 1)
+        idx = quantize(np.column_stack([(px[keep] + 0.5) / sx, (py[keep] + 0.5) / sy,
+                                        w[keep]]), dims)
+        yield idx[:, 0] + nx * (idx[:, 1] + ny * idx[:, 2]), src[tri[keep]]
+
+
+def test_interp_affine_equals_per_sample_form(rng):
+    attrs = rng.normal(0.0, 10.0, (50, 3))
+    attrs[:5] = 0.7         # constant attributes interpolate exactly
+    tri = rng.integers(0, 50, 5000)
+    b1, b2 = rng.random((2, 5000))
+    a = attrs[tri]
+    ref = a[:, 0] + b1 * (a[:, 1] - a[:, 0]) + b2 * (a[:, 2] - a[:, 0])
+    got = interp_affine(attrs, tri, b1, b2)
+    assert got.tobytes() == ref.tobytes()
+    assert np.all(got[tri < 5] == 0.7)
+
+
+class TestFragmentStream:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_flat_indices_equal_quantized_samples(self, seed):
+        scene, cell = generate_scene(SceneGenConfig(seed=seed))
+        frustum = build_viewcell_frustum(cell)
+        for dims in ((32, 16, 24), (64, 64, 64)):
+            got = [np.concatenate(p) for p in zip(*_fragment_stream(scene, frustum, dims))]
+            ref = [np.concatenate(p) for p in
+                   zip(*_quantized_stream_reference(scene, frustum, dims))]
+            assert len(got[0]) > 0
+            for a, b in zip(got, ref):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_pixel_column_equals_quantized_centre(self):
+        # (px + 0.5) / sx * nx lies at least 1/8 from an integer
+        for nx in range(8, 520, 8):
+            px = np.arange(SUPERSAMPLE * nx)
+            u = (px + 0.5) / (SUPERSAMPLE * nx)
+            assert np.array_equal(quantize(np.column_stack([u, u, u]), (nx, 1, 1))[:, 0],
+                                  px // SUPERSAMPLE)
+
+
 class TestIdMap:
     def test_single_triangle_single_froxel(self):
         cell = default_cell()
@@ -275,7 +324,6 @@ class TestIdMap:
 
     @PERSPECTIVE
     def test_key_set_matches_froxelize(self, projection):
-        from froxelpvs.scenegen import SceneGenConfig, generate_scene
         scene, cell = generate_scene(SceneGenConfig(seed=5, count_range=(3, 6)))
         frustum = build_viewcell_frustum(cell)
         grid = froxelize(scene, frustum, (16, 16, 16))

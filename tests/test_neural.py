@@ -1,13 +1,15 @@
 """Convolution layers, inference precision, gradients, interleaving and
 checkpoint files."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from froxelpvs.froxel import FroxelGrid, froxelize
 from froxelpvs.interleave import ChannelTensor, deinterleave, interleave
 from froxelpvs.neural import ACTIVATIONS, Conv3d, ConvSpec, ModelConfig, PvsNet, \
-    TrainConfig, combined_loss, conv_rules, dice_loss, dilate, evaluate_pairs, \
+    TrainConfig, _sigmoid, combined_loss, conv_rules, dice_loss, dilate, evaluate_pairs, \
     predict_pvs, rvl_loss, train
 
 BAND = 1e-5     # |p - tau| below this may flip between float32 and float64
@@ -24,6 +26,32 @@ def _float64_chain(net, x):
     for layer in net.layers:
         x, _ = layer.forward(x, keep_cache=True)
     return x
+
+
+def _masked_split_sigmoid(z):
+    """The logistic function as two masked halves, each in its stable form."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_equals_masked_split_bitwise(dtype, rng):
+    info = np.finfo(dtype)
+    edges = [0.0, -0.0, np.inf, -np.inf, info.max, -info.max, info.tiny, -info.tiny,
+             info.smallest_subnormal, -info.smallest_subnormal, info.eps, -info.eps,
+             88.7, -88.7, 103.9, -103.9, 709.8, -709.8, 745.2, -745.2, 1e4, -1e4]
+    z = np.concatenate([np.array(edges, dtype=dtype),
+                        rng.normal(0.0, 40.0, 2000).astype(dtype)]).reshape(-1, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sigmoid(z)
+    want = _masked_split_sigmoid(z)
+    assert got.dtype == dtype and got.shape == z.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestConv3dInference:
