@@ -77,11 +77,14 @@ def pixel_error_rate(scene: TriScene, camera: Camera, pvs: FroxelGrid,
 
     Both renders use the same deterministic rasterizer; a pixel exposing
     background because its primitive was culled counts as an error.
+    Coverage is compared apart from the id, because ``prim`` marks the
+    background with -1, which is also a valid primitive id.
     """
     kept = cull(scene, pvs, id_map)
     full = render_depth(scene, camera, resolution)
     culled = render_depth(scene.subset(kept), camera, resolution)
-    return float((full.prim != culled.prim).mean())
+    coverage_differs = np.isfinite(full.depth) != np.isfinite(culled.depth)
+    return float((coverage_differs | (full.prim != culled.prim)).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ first: byte index = (x >> 3) + (N_x/8) * (y + N_y * z), bit index = x & 7.
 
 Rasterization works on flat (triangle, sample) candidate pairs so the hot
 path stays inside numpy; the same traversal backs occupancy grids, the
-froxel-to-primitive map, and the oracle's depth buffers.
+froxel-to-primitive map, and the oracle's depth buffers. The pairs come in
+chunks of at most ``_MAX_PAIRS`` candidates, cut between raster rows, so a
+chunk's temporaries stay in the L2 cache and peak memory does not grow with
+the grid resolution or the size of a triangle.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ FPVS_HEADER = 24
 ROLE_TAGS = ("geometry", "gt_pvs", "predicted_pvs")
 
 _DEGEN_EPS = 1e-12
-_MAX_PAIRS = 4_000_000
+_MAX_PAIRS = 1 << 14  # candidate samples per raster chunk; see iter_raster_chunks
 _SPAN_ULPS = 16      # bound on the inside test's rounding, in eps of its operands
 SUPERSAMPLE = 4      # raster samples per froxel along x and along y
 
@@ -39,9 +42,10 @@ def quantize(uvw, dims):
     arr = np.asarray(uvw, dtype=np.float64)
     scalar = arr.ndim == 1
     arr = np.atleast_2d(arr)
-    d = np.asarray(dims, dtype=np.int64)
-    idx = np.floor(arr * d).astype(np.int64)
-    np.clip(idx, 0, d - 1, out=idx)
+    idx = np.empty(arr.shape, dtype=np.int64)
+    for a, n in enumerate(int(d) for d in dims):
+        np.clip(np.floor(arr[..., a] * float(n)), 0, n - 1, out=idx[..., a],
+                casting="unsafe")
     return idx[0] if scalar else idx
 
 
@@ -237,9 +241,16 @@ def iter_raster_chunks(tris2d: np.ndarray, width: int, height: int,
     three barycentric half-planes leave at the row's sample y (Pineda,
     SIGGRAPH 1988), widened by one pixel on each side; the inside test then
     runs on them unchanged, so the output equals testing every pixel of the
-    box. Samples come out triangle by triangle, row by row, left to right; a
-    chunk holds the triangles of at most ``max_pairs`` bounding-box pixels,
-    or one triangle.
+    box. Samples come out triangle by triangle, row by row, left to right.
+
+    The spans of every row are found in one pass; the rows are then cut,
+    in that order, into chunks of at most ``max_pairs`` candidate samples,
+    so a large triangle is split between rows, and a row longer than the
+    budget is a chunk of its own. A chunk's temporaries, with those of its
+    consumer, are about twenty arrays of at most ``max_pairs`` elements: the
+    default of 2^14 (128 KiB per 8-byte array) keeps them near the size of a
+    2 MiB per-core L2 cache, and peak memory stays bounded at any resolution
+    and triangle size.
     """
     tris2d = np.asarray(tris2d, dtype=np.float64)
     if len(tris2d) == 0:
@@ -256,10 +267,8 @@ def iter_raster_chunks(tris2d: np.ndarray, width: int, height: int,
     y1 = np.clip(np.floor(maxs[:, 1] - 0.5) + 1, 0, height).astype(np.int64)
     w = np.maximum(x1 - x0, 0)
     h = np.maximum(y1 - y0, 0)
-    counts = w * h
-    live = (np.abs(den) > _DEGEN_EPS) & (counts > 0)
-    idx_all = np.nonzero(live)[0]
-    if len(idx_all) == 0:
+    live = np.nonzero((np.abs(den) > _DEGEN_EPS) & (w * h > 0))[0]
+    if len(live) == 0:
         return
 
     # b_k * den = alpha_k * dx + beta_k * dy + gamma_k for k = 0, 1, 2
@@ -280,31 +289,37 @@ def iter_raster_chunks(tris2d: np.ndarray, width: int, height: int,
     upper = bounded & ~lower
     alpha = np.where(bounded, alpha, 1.0)
 
-    bounds = np.cumsum(counts[idx_all])
+    row_y, row_t = _ranges(y0[live], h[live])
+    row_t = live[row_t]
+    # dx at which each b_k crosses zero on the row
+    ry = (row_y + 0.5) - v0[row_t, 1]
+    zero = -(beta[row_t] * ry[:, None] + gamma[row_t]) / alpha[row_t]
+    lo = np.where(lower[row_t], zero, -np.inf).max(axis=1)
+    hi = np.where(upper[row_t], zero, np.inf).min(axis=1)
+    # px = dx + sx; one pixel of widening on each side absorbs the rounding
+    sx = v0[row_t, 0] - 0.5
+    xa = np.clip(np.ceil(lo + sx) - 1, x0[row_t], x1[row_t]).astype(np.int64)
+    xb = np.clip(np.floor(hi + sx) + 2, x0[row_t], x1[row_t]).astype(np.int64)
+    rows = np.flatnonzero(xb > xa)
+    row_t, row_y, ry, xa = row_t[rows], row_y[rows], ry[rows], xa[rows]
+    count = xb[rows] - xa
+    # per-row factors, gathered per sample below; ry is the sample's dy, so
+    # each product equals its per-sample form
+    rv0x, rden, re1y, re2y = v0[row_t, 0], den[row_t], e1[row_t, 1], e2[row_t, 1]
+    re1xy, re2xy = e1[row_t, 0] * ry, e2[row_t, 0] * ry
+
+    ends = np.cumsum(count)
     start = 0
-    while start < len(idx_all):
-        base = bounds[start - 1] if start else 0
-        stop = int(np.searchsorted(bounds, base + max_pairs, side="left")) + 1
-        stop = min(max(stop, start + 1), len(idx_all))
-        sel = idx_all[start:stop]
-        row_y, row_t = _ranges(y0[sel], h[sel])
-        row_t = sel[row_t]
-        # dx at which each b_k crosses zero on the row
-        ry = (row_y + 0.5) - v0[row_t, 1]
-        zero = -(beta[row_t] * ry[:, None] + gamma[row_t]) / alpha[row_t]
-        lo = np.where(lower[row_t], zero, -np.inf).max(axis=1)
-        hi = np.where(upper[row_t], zero, np.inf).min(axis=1)
-        # px = dx + sx; one pixel of widening on each side absorbs the rounding
-        sx = v0[row_t, 0] - 0.5
-        xa = np.clip(np.ceil(lo + sx) - 1, x0[row_t], x1[row_t]).astype(np.int64)
-        xb = np.clip(np.floor(hi + sx) + 2, x0[row_t], x1[row_t]).astype(np.int64)
-        px, r = _ranges(xa, np.maximum(xb - xa, 0))
-        # per-row factors gathered per sample; ry is the sample's dy, so each
-        # product equals its per-sample form
-        dx = (px + 0.5) - v0[row_t, 0][r]
-        dd = den[row_t][r]
-        b1 = (dx * e2[row_t, 1][r] - (e2[row_t, 0] * ry)[r]) / dd
-        b2 = ((e1[row_t, 0] * ry)[r] - dx * e1[row_t, 1][r]) / dd
+    while start < len(rows):
+        base = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, base + max_pairs, side="right"))
+        stop = max(stop, start + 1)
+        px, r = _ranges(xa[start:stop], count[start:stop])
+        r += start
+        dx = (px + 0.5) - rv0x[r]
+        dd = rden[r]
+        b1 = (dx * re2y[r] - re2xy[r]) / dd
+        b2 = (re1xy[r] - dx * re1y[r]) / dd
         inside = np.flatnonzero((1.0 - b1 - b2 >= 0) & (b1 >= 0) & (b2 >= 0))
         if len(inside):
             r = r[inside]

@@ -38,7 +38,8 @@ class DepthBuffer:
     """Per-pixel nearest forward depth and primitive id.
 
     ``depth`` is +inf and ``prim`` is -1 where nothing was rasterized;
-    buffers are indexed [row, col] = [v pixel, u pixel].
+    buffers are indexed [row, col] = [v pixel, u pixel]. Read coverage as
+    ``np.isfinite(depth)``: -1 is also a valid primitive id.
     """
 
     depth: np.ndarray
@@ -127,7 +128,7 @@ def compute_gt_pvs(scene: TriScene, cell: ViewCell, dims, ocfg: OracleConfig,
     seen = np.zeros(gt.dims, dtype=bool)
     for cam in cams:
         buf = render_depth(scene, cam, res)
-        rows, cols = np.nonzero(buf.prim >= 0)
+        rows, cols = np.nonzero(np.isfinite(buf.depth))
         if len(rows) == 0:
             continue
         uvw, inside = reproject_fragments(cam, frustum, cols, rows,

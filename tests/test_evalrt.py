@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from froxelpvs.core import TriScene, build_viewcell_frustum
-from froxelpvs.evalrt import (MetricsRecord, cull, froxel_metrics, read_metrics_csv,
-                              write_metrics_csv)
+from froxelpvs.evalrt import (MetricsRecord, cull, froxel_metrics, pixel_error_rate,
+                              read_metrics_csv, write_metrics_csv)
 from froxelpvs.froxel import FroxelGrid, FroxelIdMap, _fragment_stream, froxel_id_map
 from froxelpvs.scenegen import SceneGenConfig, generate_scene
 
-from conftest import PERSPECTIVE, default_cell
+from conftest import PERSPECTIVE, default_cell, quad_at
 
 
 def reference_id_map(scene, frustum, dims):
@@ -131,6 +131,24 @@ class TestFroxelIdMap:
         assert mapping != changed and changed != mapping
         del changed[key]
         assert mapping != changed and changed != mapping
+
+
+@pytest.mark.parametrize("pids", [[0, 1], [-1, -1], [-1, -2]])
+def test_pixel_error_rate_counts_culled_coverage(pids):
+    """Culling a quad that fills the view changes every pixel, whatever its
+    ids; -1 is a valid id as well as the background mark of ``prim``."""
+    cell = default_cell()
+    frustum = build_viewcell_frustum(cell)
+    z = frustum.near + 0.5 * (frustum.far - frustum.near)
+    half = 1.5 * z * frustum.half_extent
+    verts, tris = quad_at(z, half, half)
+    scene = TriScene(frustum._o + verts @ frustum._basis, tris, primitive_ids=pids)
+    dims = (16, 16, 16)
+    mapping = froxel_id_map(scene, frustum, dims)
+    camera = cell.camera_at(cell.center)
+    everything = FroxelGrid.from_dense(np.ones(dims, dtype=bool))
+    assert pixel_error_rate(scene, camera, FroxelGrid(dims), mapping, (32, 32)) == 1.0
+    assert pixel_error_rate(scene, camera, everything, mapping, (32, 32)) == 0.0
 
 
 def test_froxel_metrics_counts(rng):

@@ -1,11 +1,13 @@
 """Bit-packed grids, quantization, froxelization, and the id map."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from froxelpvs.core import TriScene, Vec3, build_viewcell_frustum, depth_to_w, unproject_ndc
-from froxelpvs.froxel import (_DEGEN_EPS, SUPERSAMPLE, FroxelGrid, _fragment_stream,
-                              clip_triangles_halfspace, froxel_id_map, froxelize,
+from froxelpvs.froxel import (_DEGEN_EPS, _MAX_PAIRS, SUPERSAMPLE, FroxelGrid,
+                              _fragment_stream, clip_triangles_halfspace, froxel_id_map, froxelize,
                               interp_affine, iter_raster_chunks, quantize, screen_triangles)
 from froxelpvs.scenegen import SceneGenConfig, generate_scene
 
@@ -29,6 +31,24 @@ class TestQuantize:
         ref = np.minimum(np.floor(uvw * np.array([32, 16, 8])).astype(int),
                          np.array([31, 15, 7]))
         assert np.array_equal(idx, ref)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dims", [(16, 16, 16), (8, 24, 5), (512, 64, 1)])
+    def test_per_axis_equals_broadcast_formula(self, dims):
+        def broadcast(uvw):
+            arr = np.atleast_2d(np.asarray(uvw, dtype=np.float64))
+            d = np.asarray(dims, dtype=np.int64)
+            return np.clip(np.floor(arr * d).astype(np.int64), 0, d - 1)
+
+        edges = np.concatenate([np.arange(n + 1) / n for n in dims])
+        vals = np.concatenate([[0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), 1.5, -0.25],
+                               edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0)])
+        uvw = np.column_stack([vals, vals[::-1], np.roll(vals, 7)])
+        got = quantize(uvw, dims)
+        assert got.dtype == np.int64 and np.array_equal(got, broadcast(uvw))
+        for row in uvw[::5]:
+            one = quantize(tuple(row.tolist()), dims)
+            assert one.shape == (3,) and np.array_equal(one, broadcast(row)[0])
 
 
 class TestFroxelGrid:
@@ -299,6 +319,27 @@ class TestFragmentStream:
             assert np.array_equal(quantize(np.column_stack([u, u, u]), (nx, 1, 1))[:, 0],
                                   px // SUPERSAMPLE)
 
+    def test_far_plane_sample_sets_last_slab(self):
+        """A sample whose interpolated depth is exactly the far plane (w = 1)
+        lands in slab N_z - 1, not one slab past the grid."""
+        from froxelpvs.core import Frustum
+        # tan(fov / 2) = 0.25 and far = 64 make the projection exact, and
+        # 1 / (1 / 64) round-trips
+        frustum = Frustum(Vec3(0, 0, 0), Vec3(0, 0, 1), Vec3(0, 1, 0), Vec3(1, 0, 0),
+                          2.0 * np.degrees(np.arctan(0.25)), 1.0, 64.0)
+        assert frustum.half_extent == 0.25
+        # vertex 0 sits on the far plane at the centre of raster pixel (16, 16);
+        # the sample there has b1 = b2 = 0, so its depth is vertex 0's
+        verts = np.array([[0.5, 0.5, 64.0], [4.0, 0.5, 32.0], [0.5, 4.0, 32.0]])
+        scene = TriScene(verts, [[0, 1, 2]])
+        tris2d, _, _ = screen_triangles(scene, frustum._o, frustum._basis,
+                                        frustum.half_extent, frustum.near, frustum.far,
+                                        SUPERSAMPLE * 8, SUPERSAMPLE * 8)
+        assert tris2d[0, 0].tolist() == [16.5, 16.5]
+        key = (16 // SUPERSAMPLE, 16 // SUPERSAMPLE, 7)
+        assert froxelize(scene, frustum, (8, 8, 8)).get(*key) == 1
+        assert key in froxel_id_map(scene, frustum, (8, 8, 8))
+
 
 class TestIdMap:
     def test_single_triangle_single_froxel(self):
@@ -338,9 +379,10 @@ class TestIdMap:
 # Rasterizer and near-plane clip against plain reference implementations
 # ---------------------------------------------------------------------------
 
-def _bbox_raster_reference(tris2d, width, height, max_pairs):
+def _bbox_raster_reference(tris2d, width, height):
     """Tests every pixel of each triangle's bounding box, with the same
-    inside test and chunking as :func:`iter_raster_chunks`."""
+    inside test as :func:`iter_raster_chunks`, in one chunk; only the
+    concatenated output of the rasterizer is compared with it."""
     tris2d = np.asarray(tris2d, dtype=np.float64)
     if len(tris2d) == 0:
         return
@@ -357,34 +399,26 @@ def _bbox_raster_reference(tris2d, width, height, max_pairs):
     w = np.maximum(x1 - x0, 0)
     h = np.maximum(y1 - y0, 0)
     counts = w * h
-    idx_all = np.nonzero((np.abs(den) > _DEGEN_EPS) & (counts > 0))[0]
-    if len(idx_all) == 0:
+    sel = np.nonzero((np.abs(den) > _DEGEN_EPS) & (counts > 0))[0]
+    if len(sel) == 0:
         return
-    bounds = np.cumsum(counts[idx_all])
-    start = 0
-    while start < len(idx_all):
-        base = bounds[start - 1] if start else 0
-        stop = int(np.searchsorted(bounds, base + max_pairs, side="left")) + 1
-        stop = min(max(stop, start + 1), len(idx_all))
-        sel = idx_all[start:stop]
-        cnt = counts[sel]
-        offs = np.concatenate([[0], np.cumsum(cnt)])
-        pair_t = np.repeat(np.arange(len(sel)), cnt)
-        ridx = np.arange(int(offs[-1])) - offs[pair_t]
-        tw = w[sel][pair_t]
-        px = x0[sel][pair_t] + ridx % tw
-        py = y0[sel][pair_t] + ridx // tw
-        gsel = sel[pair_t]
-        dx = (px + 0.5) - v0[gsel, 0]
-        dy = (py + 0.5) - v0[gsel, 1]
-        dd = den[gsel]
-        b1 = (dx * e2[gsel, 1] - e2[gsel, 0] * dy) / dd
-        b2 = (e1[gsel, 0] * dy - dx * e1[gsel, 1]) / dd
-        b0 = 1.0 - b1 - b2
-        inside = (b0 >= 0) & (b1 >= 0) & (b2 >= 0)
-        if inside.any():
-            yield gsel[inside], px[inside], py[inside], b1[inside], b2[inside]
-        start = stop
+    cnt = counts[sel]
+    offs = np.concatenate([[0], np.cumsum(cnt)])
+    pair_t = np.repeat(np.arange(len(sel)), cnt)
+    ridx = np.arange(int(offs[-1])) - offs[pair_t]
+    tw = w[sel][pair_t]
+    px = x0[sel][pair_t] + ridx % tw
+    py = y0[sel][pair_t] + ridx // tw
+    gsel = sel[pair_t]
+    dx = (px + 0.5) - v0[gsel, 0]
+    dy = (py + 0.5) - v0[gsel, 1]
+    dd = den[gsel]
+    b1 = (dx * e2[gsel, 1] - e2[gsel, 0] * dy) / dd
+    b2 = (e1[gsel, 0] * dy - dx * e1[gsel, 1]) / dd
+    b0 = 1.0 - b1 - b2
+    inside = (b0 >= 0) & (b1 >= 0) & (b2 >= 0)
+    if inside.any():
+        yield gsel[inside], px[inside], py[inside], b1[inside], b2[inside]
 
 
 def _concat(chunks):
@@ -481,18 +515,51 @@ class TestRasterizer:
     def test_row_spans_match_bbox_enumeration(self, case, max_pairs):
         tris2d = _raster_cases()[case]
         got = _concat(iter_raster_chunks(tris2d, 36, 28, max_pairs))
-        ref = _concat(_bbox_raster_reference(tris2d, 36, 28, max_pairs))
+        ref = _concat(_bbox_raster_reference(tris2d, 36, 28))
         assert len(ref[0]) > 0
         for a, b in zip(got, ref):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
-    def test_chunks_never_exceed_bbox_budget(self):
-        tris2d = _raster_cases()["random"]
-        chunks = list(iter_raster_chunks(tris2d, 36, 28, 200))
-        ref = list(_bbox_raster_reference(tris2d, 36, 28, 200))
-        assert len(chunks) == len(ref) > 1
-        for a, b in zip(chunks, ref):
-            assert np.array_equal(a[0], b[0])
+    @pytest.mark.parametrize("max_pairs", [200, 37, 1])
+    @pytest.mark.parametrize("case", ["random", "centres", "edges", "axis", "slivers",
+                                      "offscreen"])
+    def test_chunks_split_between_rows_within_budget(self, case, max_pairs):
+        tris2d = _raster_cases()[case]
+        whole = list(iter_raster_chunks(tris2d, 36, 28, 1 << 40))
+        assert len(whole) == 1
+        chunks = list(iter_raster_chunks(tris2d, 36, 28, max_pairs))
+        assert len(chunks) > 1
+        seen = set()
+        for tri, px, py, b1, b2 in chunks:
+            rows = set(zip(tri.tolist(), py.tolist()))
+            # at most max_pairs samples, or one (triangle, row) past the budget
+            assert len(tri) <= max_pairs or len(rows) == 1
+            if max_pairs == 1:
+                assert len(rows) == 1
+            # no row is split between chunks
+            assert not rows & seen
+            seen |= rows
+        for a, b in zip(_concat(chunks), _concat(whole)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_froxelize_peak_memory_follows_chunk_budget(self):
+        """A full-screen quad at 128^3 has 262k samples; the raster working
+        set stays a few chunk-sized arrays beside the grid itself."""
+        dims = (128, 128, 128)
+        frustum = _exact_frustum()
+        scene = _full_span_quad_scene(frustum, 0.5)
+        tracemalloc.start()
+        try:
+            grid = froxelize(scene, frustum, dims)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.to_dense()[:, :, 64].all()
+        # a cache-sized budget: a chunk's arrays of 8-byte elements fit in L2
+        assert _MAX_PAIRS <= 1 << 16
+        # the flat bool grid, its packed bits, and a bounded raster working set
+        bound = dims[0] * dims[1] * dims[2] * 5 // 4 + 32 * 8 * _MAX_PAIRS
+        assert peak < bound
 
     def test_clip_matches_polygon_loop(self, rng):
         tris = rng.normal(0.0, 1.0, (400, 3, 3))

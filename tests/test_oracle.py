@@ -153,6 +153,19 @@ class TestComputeGtPvs:
                                cameras=cams_small + extra)
         assert small.subset_of(grown)
 
+    def test_negative_primitive_ids(self):
+        """Coverage comes from depth, so ids -1 - i, among them -1 (the
+        background mark of ``prim``), give the ground truth of ids i."""
+        scene, cell = generate_scene(SceneGenConfig(seed=4))
+        ids = np.arange(len(scene))
+        ocfg = OracleConfig(viewpoints=8)
+        gt = compute_gt_pvs(TriScene(scene.vertices, scene.triangles, primitive_ids=ids),
+                            cell, (16, 16, 16), ocfg)
+        neg = compute_gt_pvs(TriScene(scene.vertices, scene.triangles, primitive_ids=-1 - ids),
+                             cell, (16, 16, 16), ocfg)
+        assert gt.occupied_count() > 0
+        assert neg == gt
+
     def test_determinism(self):
         scene, cell = generate_scene(SceneGenConfig(seed=8, count_range=(3, 5)))
         ocfg = OracleConfig(viewpoints=16)
