@@ -83,25 +83,14 @@ def rotate_about(v: Vec3, axis: Vec3, angle_deg: float) -> Vec3:
 # Triangle scenes
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SceneObject:
-    """A named contiguous triangle range."""
-
-    name: str
-    tri_start: int
-    tri_stop: int
-
-
 class TriScene:
     """Indexed triangle mesh set with one primitive id per triangle.
 
     Degenerate triangles (area <= ``area_eps``) are dropped at construction
-    and counted in ``dropped_degenerate``; object ranges are remapped to the
-    surviving triangle order.
+    and counted in ``dropped_degenerate``.
     """
 
-    def __init__(self, vertices, triangles, primitive_ids=None, objects=None,
-                 area_eps: float = AREA_EPS):
+    def __init__(self, vertices, triangles, primitive_ids=None, area_eps: float = AREA_EPS):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64).reshape(-1, 3)
         tris = np.ascontiguousarray(triangles, dtype=np.int64).reshape(-1, 3)
         if tris.size and (tris.min() < 0 or tris.max() >= len(self.vertices)):
@@ -116,7 +105,6 @@ class TriScene:
         self.dropped_degenerate = int(len(tris) - keep.sum())
         self.triangles = tris[keep]
         self.primitive_ids = pids[keep]
-        self.objects = self._remap_objects(objects or [], keep)
 
     @staticmethod
     def _area_mask(verts, tris, eps):
@@ -126,21 +114,6 @@ class TriScene:
         cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
         area = 0.5 * np.linalg.norm(cross, axis=1)
         return area > eps
-
-    @staticmethod
-    def _remap_objects(objects, keep):
-        if not objects:
-            return []
-        new_index = np.cumsum(keep) - 1
-        remapped = []
-        for obj in objects:
-            kept = keep[obj.tri_start:obj.tri_stop]
-            if not kept.any():
-                continue
-            idx = np.nonzero(kept)[0] + obj.tri_start
-            remapped.append(SceneObject(obj.name, int(new_index[idx[0]]),
-                                        int(new_index[idx[-1]]) + 1))
-        return remapped
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -162,32 +135,32 @@ class SceneBuilder:
     def __init__(self):
         self._verts = []
         self._tris = []
-        self._objects = []
         self._nv = 0
-        self._nt = 0
 
-    def add(self, name: str, vertices, triangles):
+    def add(self, vertices, triangles):
         vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
         triangles = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
         self._verts.append(vertices)
         self._tris.append(triangles + self._nv)
-        self._objects.append(SceneObject(name, self._nt, self._nt + len(triangles)))
         self._nv += len(vertices)
-        self._nt += len(triangles)
 
     def build(self) -> TriScene:
         verts = np.concatenate(self._verts) if self._verts else np.zeros((0, 3))
         tris = np.concatenate(self._tris) if self._tris else np.zeros((0, 3), dtype=np.int64)
-        return TriScene(verts, tris, objects=self._objects)
+        return TriScene(verts, tris)
 
 
 # ---------------------------------------------------------------------------
-# Cameras, viewcells, frusta
+# Cameras and viewcells
 # ---------------------------------------------------------------------------
 
 @dataclass
 class Camera:
-    """Pinhole camera with a square (1:1) field of view."""
+    """Pinhole camera with a square (1:1) field of view.
+
+    Renders depth buffers, and, as built by :func:`build_viewcell_frustum`,
+    is the viewcell frustum that froxel grids are aligned to.
+    """
 
     position: Vec3
     forward: Vec3
@@ -230,6 +203,16 @@ class Camera:
     def half_extent(self) -> float:
         """Lateral half width of the image plane at unit depth."""
         return math.tan(math.radians(self.fov_deg) / 2.0)
+
+    @property
+    def origin(self) -> np.ndarray:
+        """Position as a float64 array."""
+        return self.position.as_array()
+
+    @property
+    def basis(self) -> np.ndarray:
+        """World-to-camera rotation, rows (right, up, forward)."""
+        return np.stack([self.right.as_array(), self.up.as_array(), self.forward.as_array()])
 
 
 @dataclass
@@ -278,118 +261,61 @@ class ViewCell:
         return cam.yawed(yaw_deg) if yaw_deg else cam
 
 
-class Frustum:
-    """View frustum defined by an origin, an orthonormal basis, a symmetric
-    fov, and near/far distances along the forward axis.
-
-    ``planes`` holds six (normal, offset) rows with inward-facing normals, so
-    a point p is inside iff dot(n, p) + offset >= 0 for all rows.
-    """
-
-    def __init__(self, origin: Vec3, forward: Vec3, up: Vec3, right: Vec3,
-                 fov_deg: float, near: float, far: float):
-        if not (0.0 < fov_deg < 180.0):
-            raise ValueError(f"frustum fov must lie in (0, 180), got {fov_deg}")
-        if not (0.0 < near < far):
-            raise ValueError("need 0 < near < far")
-        self.origin = origin
-        self.forward = forward.normalized()
-        self.up = up.normalized()
-        self.right = right.normalized()
-        self.fov_deg = float(fov_deg)
-        self.near = float(near)
-        self.far = float(far)
-        self._o = self.origin.as_array()
-        self._basis = np.stack([self.right.as_array(), self.up.as_array(),
-                                self.forward.as_array()])
-        self.planes = self._build_planes()
-
-    @property
-    def half_extent(self) -> float:
-        return math.tan(math.radians(self.fov_deg) / 2.0)
-
-    def _build_planes(self) -> np.ndarray:
-        f, r, u = self._basis[2], self._basis[0], self._basis[1]
-        h = self.half_extent
-        normals = [
-            f,                                     # near:  z >= near
-            -f,                                    # far:   z <= far
-            _unit(f * h - r),                      # right: x <= z*h
-            _unit(f * h + r),                      # left:  x >= -z*h
-            _unit(f * h - u),                      # top:   y <= z*h
-            _unit(f * h + u),                      # bottom:y >= -z*h
-        ]
-        offsets = [-(f @ self._o) - self.near, (f @ self._o) + self.far]
-        offsets += [-(n @ self._o) for n in normals[2:]]
-        return np.column_stack([np.stack(normals), np.array(offsets)])
-
-    def contains(self, points, eps: float = 1e-9):
-        """Plane-based containment test; accepts one point or an (N, 3) array."""
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        vals = pts @ self.planes[:, :3].T + self.planes[:, 3]
-        inside = (vals >= -eps).all(axis=1)
-        return bool(inside[0]) if np.ndim(points) == 1 else inside
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
-
-
-def build_viewcell_frustum(cell: ViewCell) -> Frustum:
+def build_viewcell_frustum(cell: ViewCell) -> Camera:
     """Enlarged frustum containing every camera view allowed by the cell.
 
-    The origin is displaced backward by radius/tan(fov/2) and the fov is
-    widened by twice the rotation margin. The near plane passes through the
-    cell center (everything a member camera can see lies in front of it) and
-    the far plane coincides with the nominal camera's far plane.
+    The viewcell frustum is the cell's camera moved back to the displaced
+    origin, radius/tan(fov/2) behind the center, with its fov widened by
+    twice the rotation margin. Its near plane passes through the cell center
+    (everything a member camera can see lies in front of it) and its far
+    plane coincides with the nominal camera's far plane.
     """
-    if cell.fov_deg + 2 * cell.beta_deg >= 180.0:
-        raise ValueError("enlarged fov (fov + 2*beta) must stay below 180 degrees")
     disp = cell.displacement
-    return Frustum(cell.displaced_origin, cell.forward, cell.up, cell.right,
-                   cell.fov_deg + 2 * cell.beta_deg, disp, disp + cell.far)
+    return Camera(cell.displaced_origin, cell.forward.normalized(), cell.up.normalized(),
+                  cell.right.normalized(), cell.fov_deg + 2 * cell.beta_deg,
+                  disp, disp + cell.far)
 
 
 # ---------------------------------------------------------------------------
 # Projection / reprojection
 # ---------------------------------------------------------------------------
 
-def depth_to_w(frustum: Frustum, z):
+def depth_to_w(camera: Camera, z):
     """Normalized depth w of forward depths ``z``: 0 on the near plane,
     1 on the far plane, linear in z."""
-    return (z - frustum.near) / (frustum.far - frustum.near)
+    return (z - camera.near) / (camera.far - camera.near)
 
 
-def project_points(frustum: Frustum, points):
-    """Project world points into the frustum's NDC cube.
+def project_points(camera: Camera, points):
+    """Project world points into the camera's NDC cube.
 
     Returns ``(uvw, inside)`` where uvw has shape (N, 3) and inside is a
     boolean mask. Points behind the origin are flagged outside; their uvw
     values are unspecified.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    d = pts - frustum._o
-    local = d @ frustum._basis.T          # columns: x (right), y (up), z (forward)
+    d = pts - camera.origin
+    local = d @ camera.basis.T            # columns: x (right), y (up), z (forward)
     x, y, z = local[:, 0], local[:, 1], local[:, 2]
     ahead = z > 0
     zsafe = np.where(ahead, z, 1.0)
-    h = frustum.half_extent
+    h = camera.half_extent
     u = 0.5 + 0.5 * x / (zsafe * h)
     v = 0.5 + 0.5 * y / (zsafe * h)
-    w = depth_to_w(frustum, zsafe)
+    w = depth_to_w(camera, zsafe)
     uvw = np.column_stack([u, v, w])
     inside = ahead & (u >= 0) & (u <= 1) & (v >= 0) & (v <= 1) & (w >= 0) & (w <= 1)
     return uvw, inside
 
 
-def unproject_ndc(frustum: Frustum, uvw) -> np.ndarray:
+def unproject_ndc(camera: Camera, uvw) -> np.ndarray:
     """Inverse of :func:`project_points` for in-range coordinates."""
     uvw = np.asarray(uvw, dtype=np.float64).reshape(-1, 3)
-    z = frustum.near + uvw[:, 2] * (frustum.far - frustum.near)
-    h = frustum.half_extent
+    z = camera.near + uvw[:, 2] * (camera.far - camera.near)
+    h = camera.half_extent
     x = (2.0 * uvw[:, 0] - 1.0) * h * z
     y = (2.0 * uvw[:, 1] - 1.0) * h * z
-    return frustum._o + np.column_stack([x, y, z]) @ frustum._basis
+    return camera.origin + np.column_stack([x, y, z]) @ camera.basis
 
 
 def unproject_pixels(camera: Camera, px, py, depth, resolution) -> np.ndarray:
@@ -405,12 +331,10 @@ def unproject_pixels(camera: Camera, px, py, depth, resolution) -> np.ndarray:
     he = camera.half_extent
     x = (2.0 * (px + 0.5) / w - 1.0) * he * z
     y = (2.0 * (py + 0.5) / h - 1.0) * he * z
-    basis = np.stack([camera.right.as_array(), camera.up.as_array(),
-                      camera.forward.as_array()])
-    return camera.position.as_array() + np.column_stack([x, y, z]) @ basis
+    return camera.origin + np.column_stack([x, y, z]) @ camera.basis
 
 
-def reproject_fragments(camera: Camera, frustum: Frustum, px, py, depth, resolution):
+def reproject_fragments(camera: Camera, frustum: Camera, px, py, depth, resolution):
     """Unproject depth-buffer fragments and project them into ``frustum``."""
     world = unproject_pixels(camera, px, py, depth, resolution)
     return project_points(frustum, world)
@@ -423,23 +347,13 @@ def reproject_fragments(camera: Camera, frustum: Frustum, px, py, depth, resolut
 def load_scene(path) -> TriScene:
     """Load a Wavefront-style ASCII mesh (v/f records, 1-based indices).
 
-    Named groups (``g``) delimit objects; faces with more than three vertices
-    are fan-triangulated. A ``v`` record with fewer than 3 coordinates or an
-    ``f`` record with fewer than 3 indices raises ValueError naming its line.
+    Faces with more than three vertices are fan-triangulated; other record
+    types, groups (``g``) among them, are ignored. A ``v`` record with fewer
+    than 3 coordinates or an ``f`` record with fewer than 3 indices raises
+    ValueError naming its line.
     """
     verts = []
     tris = []
-    objects = []
-    current = None
-
-    def _close(upto):
-        nonlocal current
-        if current is not None:
-            name, start = current
-            if upto > start:
-                objects.append(SceneObject(name, start, upto))
-            current = None
-
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         parts = line.split()
         if not parts or parts[0].startswith("#"):
@@ -453,36 +367,13 @@ def load_scene(path) -> TriScene:
             idx = [int(tok.split("/")[0]) - 1 for tok in parts[1:]]
             for k in range(1, len(idx) - 1):
                 tris.append([idx[0], idx[k], idx[k + 1]])
-        elif parts[0] == "g":
-            _close(len(tris))
-            current = (parts[1] if len(parts) > 1 else f"group{len(objects)}", len(tris))
-    _close(len(tris))
 
     return TriScene(np.asarray(verts, dtype=np.float64).reshape(-1, 3),
-                    np.asarray(tris, dtype=np.int64).reshape(-1, 3),
-                    objects=objects)
+                    np.asarray(tris, dtype=np.int64).reshape(-1, 3))
 
 
 def save_scene(path, scene: TriScene):
     """Write a scene back out in the same Wavefront-style format."""
-    lines = []
-    for v in scene.vertices:
-        lines.append(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}")
-    covered = np.zeros(len(scene.triangles), dtype=bool)
-    for obj in scene.objects:
-        covered[obj.tri_start:obj.tri_stop] = True
-
-    def _faces(rng):
-        for t in scene.triangles[rng]:
-            lines.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}")
-
-    cursor = 0
-    for obj in sorted(scene.objects, key=lambda o: o.tri_start):
-        if obj.tri_start > cursor:
-            _faces(slice(cursor, obj.tri_start))
-        lines.append(f"g {obj.name}")
-        _faces(slice(obj.tri_start, obj.tri_stop))
-        cursor = obj.tri_stop
-    if cursor < len(scene.triangles):
-        _faces(slice(cursor, len(scene.triangles)))
+    lines = [f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}" for v in scene.vertices]
+    lines += [f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}" for t in scene.triangles]
     Path(path).write_text("\n".join(lines) + "\n")

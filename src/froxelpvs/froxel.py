@@ -19,7 +19,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .core import Frustum, TriScene, depth_to_w
+from .core import Camera, TriScene, depth_to_w
 
 FPVS_MAGIC = b"FPVS"
 FPVS_VERSION = 1
@@ -327,20 +327,16 @@ def iter_raster_chunks(tris2d: np.ndarray, width: int, height: int,
         start = stop
 
 
-def _camera_space(verts: np.ndarray, origin: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return (verts - origin) @ basis.T
-
-
-def screen_triangles(scene: TriScene, origin: np.ndarray, basis: np.ndarray,
-                     half_extent: float, near: float, far: float,
-                     width: int, height: int):
-    """Project scene triangles to screen space with near-plane clipping.
+def screen_triangles(scene: TriScene, camera: Camera, width: int, height: int):
+    """Project scene triangles to ``camera``'s width x height screen, with
+    clipping at the near plane.
 
     Returns ``(tris2d, invz, src)``: screen positions (T', 3, 2), per-vertex
     reciprocal forward depths for perspective-correct interpolation, and the
     originating scene triangle index per output triangle.
     """
-    cam = _camera_space(scene.vertices, origin, basis)
+    near, far, half_extent = camera.near, camera.far, camera.half_extent
+    cam = (scene.vertices - camera.origin) @ camera.basis.T
     tris = scene.triangles
     z = cam[:, 2][tris]
     candidates = np.nonzero((z.max(axis=1) > near) & (z.min(axis=1) < far))[0]
@@ -355,10 +351,10 @@ def screen_triangles(scene: TriScene, origin: np.ndarray, basis: np.ndarray,
     return np.stack([u, v], axis=2), 1.0 / zc, src
 
 
-def _fragment_stream(scene: TriScene, frustum: Frustum, dims):
-    """Rasterize the scene through the frustum at ``SUPERSAMPLE`` times the
-    froxel resolution in x and y; yields chunks ``(flat froxel indices,
-    source triangle)``, where flat = x + N_x * (y + N_y * z).
+def _fragment_stream(scene: TriScene, frustum: Camera, dims):
+    """Rasterize the scene through the viewcell frustum at ``SUPERSAMPLE``
+    times the froxel resolution in x and y; yields chunks ``(flat froxel
+    indices, source triangle)``, where flat = x + N_x * (y + N_y * z).
 
     x and y are the sample's pixel divided by ``SUPERSAMPLE``, which equals
     :func:`quantize` of its center: ``(px + 0.5) / sx * nx`` lies at least
@@ -368,9 +364,7 @@ def _fragment_stream(scene: TriScene, frustum: Frustum, dims):
     if nx % 8 != 0:
         raise ValueError(f"N_x must be divisible by 8, got {nx}")
     sx, sy = SUPERSAMPLE * nx, SUPERSAMPLE * ny
-    tris2d, invz, src = screen_triangles(scene, frustum._o, frustum._basis,
-                                         frustum.half_extent, frustum.near,
-                                         frustum.far, sx, sy)
+    tris2d, invz, src = screen_triangles(scene, frustum, sx, sy)
     wv = depth_to_w(frustum, 1.0 / invz)
     for tri, px, py, b1, b2 in iter_raster_chunks(tris2d, sx, sy):
         inv = interp_affine(invz, tri, b1, b2)
@@ -384,7 +378,7 @@ def _fragment_stream(scene: TriScene, frustum: Frustum, dims):
                src[tri[keep]])
 
 
-def froxelize(scene: TriScene, frustum: Frustum, dims) -> FroxelGrid:
+def froxelize(scene: TriScene, frustum: Camera, dims) -> FroxelGrid:
     """Rasterize a triangle scene into a binary geometry grid.
 
     A froxel is set when a raster sample lands in it; samples sit at pixel
@@ -444,7 +438,7 @@ class FroxelIdMap(Mapping):
         return [set(ids[s:e]) for s, e in zip(bounds, bounds[1:])]
 
 
-def froxel_id_map(scene: TriScene, frustum: Frustum, dims) -> FroxelIdMap:
+def froxel_id_map(scene: TriScene, frustum: Camera, dims) -> FroxelIdMap:
     """Map each covered froxel to the primitive ids touching it.
 
     Shares the fragment traversal with :func:`froxelize`, so the key set

@@ -1,9 +1,7 @@
 """Ground-truth from-region PVS by dense viewpoint sampling.
 
-The primary path renders a software depth buffer per sampled viewpoint and
-reprojects the surviving fragments into the viewcell frustum. A brute-force
-ray-casting oracle with the same viewpoint sampling is provided for
-cross-validation; it shares no rasterization code with the primary path.
+Each sampled viewpoint renders a software depth buffer, and the surviving
+fragments are reprojected into the viewcell frustum.
 """
 
 from __future__ import annotations
@@ -13,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Camera, TriScene, ViewCell, build_viewcell_frustum, \
-    project_points, reproject_fragments
+from .core import Camera, TriScene, ViewCell, build_viewcell_frustum, reproject_fragments
 from .froxel import FroxelGrid, interp_affine, iter_raster_chunks, quantize, \
     screen_triangles
 
@@ -88,11 +85,7 @@ def render_depth(scene: TriScene, camera: Camera, resolution) -> DepthBuffer:
     zflat = np.full(w * h, np.inf)
     iflat = np.full(w * h, np.iinfo(np.int64).max, dtype=np.int64)
     if len(scene) > 0:
-        basis = np.stack([camera.right.as_array(), camera.up.as_array(),
-                          camera.forward.as_array()])
-        tris2d, invz, src = screen_triangles(scene, camera.position.as_array(), basis,
-                                             camera.half_extent, camera.near,
-                                             camera.far, w, h)
+        tris2d, invz, src = screen_triangles(scene, camera, w, h)
         chunks = []
         for tri, px, py, b1, b2 in iter_raster_chunks(tris2d, w, h):
             depth = 1.0 / interp_affine(invz, tri, b1, b2)
@@ -122,10 +115,10 @@ def compute_gt_pvs(scene: TriScene, cell: ViewCell, dims, ocfg: OracleConfig,
     PVS-subset-of-geometry property bit-exactly.
     """
     frustum = build_viewcell_frustum(cell)
-    gt = FroxelGrid(dims, role="gt_pvs")
+    dims = tuple(int(d) for d in dims)
     cams = cameras if cameras is not None else sample_viewpoints(cell, ocfg)
-    res = (DEPTH_SCALE * gt.dims[0], DEPTH_SCALE * gt.dims[1])
-    seen = np.zeros(gt.dims, dtype=bool)
+    res = (DEPTH_SCALE * dims[0], DEPTH_SCALE * dims[1])
+    seen = np.zeros(dims, dtype=bool)
     for cam in cams:
         buf = render_depth(scene, cam, res)
         rows, cols = np.nonzero(np.isfinite(buf.depth))
@@ -133,71 +126,6 @@ def compute_gt_pvs(scene: TriScene, cell: ViewCell, dims, ocfg: OracleConfig,
             continue
         uvw, inside = reproject_fragments(cam, frustum, cols, rows,
                                           buf.depth[rows, cols], res)
-        x, y, z = quantize(uvw[inside], gt.dims).T
+        x, y, z = quantize(uvw[inside], dims).T
         seen[x, y, z] = True
-    gt.set_many(np.argwhere(seen))
-    return gt
-
-
-# ---------------------------------------------------------------------------
-# Independent ray-casting oracle
-# ---------------------------------------------------------------------------
-
-def _ray_hits(origin, dirs, v0, e1, e2):
-    """Moller-Trumbore over a batch of rays against one triangle.
-
-    Directions are scaled to unit forward depth, so the returned t equals
-    the fragment's forward depth.
-    """
-    h = np.cross(dirs, e2)
-    a = h @ e1
-    mask = np.abs(a) > 1e-12
-    f = np.where(mask, 1.0 / np.where(mask, a, 1.0), 0.0)
-    s = origin - v0
-    u = f * (h @ s)
-    q = np.cross(s, e1)
-    v = f * (dirs @ q)
-    t = f * (q @ e2)
-    hit = mask & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 0)
-    return hit, t
-
-
-def ray_cast_pvs(scene: TriScene, cell: ViewCell, dims, rays_per_froxel_face: int,
-                 ocfg: OracleConfig, cameras: list | None = None) -> FroxelGrid:
-    """Brute-force PVS: nearest ray-triangle hits over a deterministic pixel
-    grid per sampled viewpoint, quantized into the viewcell frustum."""
-    frustum = build_viewcell_frustum(cell)
-    grid = FroxelGrid(dims, role="gt_pvs")
-    cams = cameras if cameras is not None else sample_viewpoints(cell, ocfg)
-    nx, ny, _ = grid.dims
-    rw, rh = rays_per_froxel_face * nx, rays_per_froxel_face * ny
-    if len(scene) == 0:
-        return grid
-
-    tv = scene.triangle_vertices()
-    for cam in cams:
-        he = cam.half_extent
-        us = (np.arange(rw) + 0.5) / rw
-        vs = (np.arange(rh) + 0.5) / rh
-        gu, gv = np.meshgrid(us, vs, indexing="ij")
-        f = cam.forward.as_array()
-        r = cam.right.as_array()
-        u = cam.up.as_array()
-        dirs = (f[None, :]
-                + (2.0 * gu.ravel()[:, None] - 1.0) * he * r[None, :]
-                + (2.0 * gv.ravel()[:, None] - 1.0) * he * u[None, :])
-        origin = cam.position.as_array()
-        best = np.full(len(dirs), np.inf)
-        for tri in tv:
-            hit, t = _ray_hits(origin, dirs, tri[0], tri[1] - tri[0], tri[2] - tri[0])
-            ok = hit & (t >= cam.near) & (t <= cam.far) & (t < best)
-            best[ok] = t[ok]
-        found = np.isfinite(best)
-        if not found.any():
-            continue
-        world = origin + best[found, None] * dirs[found]
-        uvw, inside = project_points(frustum, world)
-        if not inside.any():
-            continue
-        grid.set_many(quantize(uvw[inside], grid.dims))
-    return grid
+    return FroxelGrid.from_dense(seen, role="gt_pvs")

@@ -314,7 +314,7 @@ def generate_scene(cfg: SceneGenConfig):
     n_objects = int(rng.integers(cfg.count_range[0], cfg.count_range[1] + 1))
     lo_s, hi_s = np.log(cfg.scale_range[0]), np.log(cfg.scale_range[1])
     lo_t, hi_t = np.log(cfg.stretch_range[0]), np.log(cfg.stretch_range[1])
-    for i in range(n_objects):
+    for _ in range(n_objects):
         kind = kinds[int(rng.choice(len(kinds), p=probs))]
         verts, tris = primitive_mesh(kind)
         scale = np.exp(rng.uniform(lo_s, hi_s, size=3))
@@ -326,7 +326,7 @@ def generate_scene(cfg: SceneGenConfig):
         pos = np.array([rng.uniform(-cfg.extent, cfg.extent),
                         rng.uniform(0.2, 4.0),
                         rng.uniform(-cfg.extent, cfg.extent)])
-        builder.add(f"{kind}_{i}", v + pos, tris)
+        builder.add(v + pos, tris)
 
     height = rng.uniform(*cfg.height_range)
     yaw = rng.uniform(0.0, 2.0 * math.pi)
@@ -336,12 +336,12 @@ def generate_scene(cfg: SceneGenConfig):
     if cfg.floor:
         v, f = _plane()
         flat = v[:, [0, 2, 1]] * np.array([2 * span, 0.0, 2 * span])   # rotate into XZ
-        builder.add("floor", flat, f)
+        builder.add(flat, f)
     if cfg.ceiling:
         v, f = _plane()
         flat = v[:, [0, 2, 1]] * np.array([2 * span, 0.0, 2 * span])
         flat[:, 1] = cfg.ceiling_height
-        builder.add("ceiling", flat, f[:, [0, 2, 1]])
+        builder.add(flat, f[:, [0, 2, 1]])
     if cfg.wall:
         v, f = _plane()
         fwd = forward.as_array()
@@ -349,7 +349,7 @@ def generate_scene(cfg: SceneGenConfig):
         wall = (v[:, 0:1] * right[None, :] * 2 * span
                 + v[:, 1:2] * np.array([[0.0, 1.0, 0.0]]) * 2 * span)
         wall[:, 1] += span * 0.5
-        builder.add("wall", wall + fwd * (cfg.extent * 1.2), f)
+        builder.add(wall + fwd * (cfg.extent * 1.2), f)
 
     scene = builder.build()
     cell = ViewCell.from_forward(Vec3(0.0, height, 0.0), cfg.radius, cfg.fov_deg,
@@ -388,13 +388,13 @@ def generate_dataset(cfg: SceneGenConfig, n_frames: int, out_dir,
     The manifest is line-oriented: ``index seed geometry_path gt_path``.
     Each geometry grid is ``froxelize(scene, frustum, dims) | gt``: the
     run-time grid with the frame's ground truth OR-ed in. Every pair is
-    validated for the PVS-subset-of-geometry property before it is written.
+    validated for the PVS-subset-of-geometry property before it is written;
+    a failing write raises its ``OSError``.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ocfg = ocfg or OracleConfig()
     lines = ["# froxelpvs dataset: index seed geometry gt"]
-    records = []
     for i in range(n_frames):
         seed = frame_seed(cfg.seed, i)
         scene, cell = generate_scene(replace(cfg, seed=seed))
@@ -404,18 +404,11 @@ def generate_dataset(cfg: SceneGenConfig, n_frames: int, out_dir,
         if not gt.subset_of(geometry):
             raise DatasetError(i, "ground truth escapes the geometry grid")
         geo_name, gt_name = f"geometry_{i:05d}.fpvs", f"gt_{i:05d}.fpvs"
-        try:
-            geometry.save(out_dir / geo_name)
-            gt.save(out_dir / gt_name)
-        except OSError as exc:
-            raise DatasetError(i, f"write failed: {exc}") from exc
+        geometry.save(out_dir / geo_name)
+        gt.save(out_dir / gt_name)
         lines.append(f"{i} {seed} {geo_name} {gt_name}")
-        records.append(FrameRecord(i, seed, geo_name, gt_name))
     manifest = out_dir / "manifest.txt"
-    try:
-        manifest.write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise DatasetError(n_frames, f"manifest write failed: {exc}") from exc
+    manifest.write_text("\n".join(lines) + "\n")
     return manifest
 
 

@@ -90,3 +90,14 @@ def test_train_prints_json_lines(tmp_path, capsys):
     assert [e["epoch"] for e in epochs] == [0, 1]
     assert all(set(e) == {"epoch", "loss", "fnr", "fpr"} for e in epochs)
     assert summary == {"checkpoint": str(ckpt), "epochs": 2, "loss": epochs[-1]["loss"]}
+
+
+def test_gen_dataset_write_failure_is_io_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    (data / "geometry_00000.fpvs").mkdir(parents=True)
+    rc = main(["gen-dataset", "--dims", "8", "--frames", "1", "--viewpoints", "1",
+               "--out", str(data)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_IO
+    assert err.startswith("I/O error:") and "Traceback" not in err
+    assert not (data / "manifest.txt").exists()

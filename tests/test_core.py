@@ -5,16 +5,47 @@ import math
 import numpy as np
 import pytest
 
-from froxelpvs.core import (Camera, Frustum, TriScene, Vec3, ViewCell,
-                            build_viewcell_frustum, load_scene, project_points,
-                            reproject_fragments, save_scene, unproject_ndc)
+from froxelpvs.core import (Camera, TriScene, Vec3, ViewCell, build_viewcell_frustum,
+                            load_scene, project_points, reproject_fragments, save_scene,
+                            unproject_ndc)
 
 from conftest import default_cell
 
 
 def _frustum(fov=90.0, near=1.0, far=21.0):
-    return Frustum(Vec3(0, 0, 0), Vec3(0, 0, 1), Vec3(0, 1, 0), Vec3(1, 0, 0),
-                   fov, near, far)
+    return Camera(Vec3(0, 0, 0), Vec3(0, 0, 1), Vec3(0, 1, 0), Vec3(1, 0, 0),
+                  fov, near, far)
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v)
+
+
+def _planes(camera: Camera) -> np.ndarray:
+    """Six (normal, offset) rows with inward-facing normals: a point p is
+    inside the camera's frustum iff dot(n, p) + offset >= 0 for all rows."""
+    r, u, f = camera.basis
+    o = camera.origin
+    h = camera.half_extent
+    normals = [
+        f,                                     # near:  z >= near
+        -f,                                    # far:   z <= far
+        _unit(f * h - r),                      # right: x <= z*h
+        _unit(f * h + r),                      # left:  x >= -z*h
+        _unit(f * h - u),                      # top:   y <= z*h
+        _unit(f * h + u),                      # bottom:y >= -z*h
+    ]
+    offsets = [-(f @ o) - camera.near, (f @ o) + camera.far]
+    offsets += [-(n @ o) for n in normals[2:]]
+    return np.column_stack([np.stack(normals), np.array(offsets)])
+
+
+def _contains(camera: Camera, points, eps: float = 1e-9) -> np.ndarray:
+    """Plane-based containment test of (N, 3) points, independent of
+    :func:`project_points`."""
+    planes = _planes(camera)
+    vals = np.asarray(points, dtype=np.float64) @ planes[:, :3].T + planes[:, 3]
+    return (vals >= -eps).all(axis=1)
 
 
 class TestViewCell:
@@ -32,6 +63,16 @@ class TestViewCell:
     def test_enlarged_fov(self):
         frustum = build_viewcell_frustum(default_cell())
         assert frustum.fov_deg == 60.0 + 2 * 15.0
+
+    def test_frustum_is_displaced_camera(self):
+        cell = default_cell()
+        frustum = build_viewcell_frustum(cell)
+        assert isinstance(frustum, Camera)
+        assert frustum.position == cell.displaced_origin
+        assert (frustum.forward, frustum.up, frustum.right) == (cell.forward, cell.up, cell.right)
+        assert frustum.near == cell.displacement
+        assert np.array_equal(frustum.basis, np.stack([cell.right.as_array(), cell.up.as_array(),
+                                                       cell.forward.as_array()]))
 
     def test_rejects_oversized_enlarged_fov(self):
         with pytest.raises(ValueError):
@@ -81,7 +122,7 @@ class TestContainment:
                         t = (shared_far - zn) / (zf - zn)
                         far_pt = near_pt + t * (far_pt - near_pt)
                     corners += [near_pt, far_pt]
-            assert frustum.contains(np.array(corners), eps=1e-7).all()
+            assert _contains(frustum, np.array(corners), eps=1e-7).all()
 
 
 class TestProjection:
@@ -121,19 +162,19 @@ class TestProjection:
         fr = _frustum(fov=80.0, near=0.7, far=25.0)
         pts = rng.uniform(-30, 30, size=(5000, 3))
         _, inside = project_points(fr, pts)
-        assert np.array_equal(inside, fr.contains(pts))
+        assert np.array_equal(inside, _contains(fr, pts))
 
 
 class TestReproject:
     def test_identity_camera(self):
+        """The viewcell frustum is a camera: its own fragments map to their
+        pixel centers and depths."""
         cell = default_cell()
         frustum = build_viewcell_frustum(cell)
-        eye = Camera(frustum.origin, frustum.forward, frustum.up, frustum.right,
-                     frustum.fov_deg, frustum.near, frustum.far)
         res = (64, 64)
         px, py, w = np.array([10, 33, 0]), np.array([20, 60, 0]), np.array([0.3, 0.8, 0.05])
         depth = frustum.near + w * (frustum.far - frustum.near)
-        uvw, inside = reproject_fragments(eye, frustum, px, py, depth, res)
+        uvw, inside = reproject_fragments(frustum, frustum, px, py, depth, res)
         assert inside.all()
         want = np.column_stack([(px + 0.5) / res[0], (py + 0.5) / res[1], w])
         assert np.abs(uvw - want).max() <= 1e-9
@@ -198,14 +239,12 @@ f 2 4 3
         path.write_text(text)
         scene = load_scene(path)
         assert len(scene) == 2
-        assert [o.name for o in scene.objects] == ["left", "right"]
 
         out = tmp_path / "copy.obj"
         save_scene(out, scene)
         again = load_scene(out)
         assert np.array_equal(again.triangles, scene.triangles)
         assert np.allclose(again.vertices, scene.vertices)
-        assert [o.name for o in again.objects] == ["left", "right"]
 
     def test_quad_faces_triangulated(self, tmp_path):
         path = tmp_path / "quad.obj"

@@ -142,7 +142,7 @@ def test_pixel_error_rate_counts_culled_coverage(pids):
     z = frustum.near + 0.5 * (frustum.far - frustum.near)
     half = 1.5 * z * frustum.half_extent
     verts, tris = quad_at(z, half, half)
-    scene = TriScene(frustum._o + verts @ frustum._basis, tris, primitive_ids=pids)
+    scene = TriScene(frustum.origin + verts @ frustum.basis, tris, primitive_ids=pids)
     dims = (16, 16, 16)
     mapping = froxel_id_map(scene, frustum, dims)
     camera = cell.camera_at(cell.center)

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from froxelpvs.core import TriScene, Vec3, build_viewcell_frustum, depth_to_w, unproject_ndc
+from froxelpvs.core import (Camera, TriScene, Vec3, build_viewcell_frustum, depth_to_w,
+                            unproject_ndc)
 from froxelpvs.froxel import (_DEGEN_EPS, _MAX_PAIRS, SUPERSAMPLE, FroxelGrid,
                               _fragment_stream, clip_triangles_halfspace, froxel_id_map, froxelize,
                               interp_affine, iter_raster_chunks, quantize, screen_triangles)
@@ -190,9 +191,8 @@ class TestFroxelGrid:
 
 def _exact_frustum():
     """Frustum whose depth arithmetic is exact in binary floating point."""
-    from froxelpvs.core import Frustum
-    return Frustum(Vec3(0, 0, 0), Vec3(0, 0, 1), Vec3(0, 1, 0), Vec3(1, 0, 0),
-                   90.0, 2.0, 18.0)
+    return Camera(Vec3(0, 0, 0), Vec3(0, 0, 1), Vec3(0, 1, 0), Vec3(1, 0, 0),
+                  90.0, 2.0, 18.0)
 
 
 def _full_span_quad_scene(frustum, w: float):
@@ -200,7 +200,7 @@ def _full_span_quad_scene(frustum, w: float):
     z = frustum.near + w * (frustum.far - frustum.near)
     half = 1.2 * z * frustum.half_extent
     verts, tris = quad_at(z, half, half)
-    world = frustum._o + verts @ frustum._basis
+    world = frustum.origin + verts @ frustum.basis
     return TriScene(world, tris)
 
 
@@ -270,9 +270,7 @@ def _quantized_stream_reference(scene, frustum, dims):
     :func:`quantize`, and depth interpolated per sample from (N, 3) gathers."""
     nx, ny, nz = dims
     sx, sy = SUPERSAMPLE * nx, SUPERSAMPLE * ny
-    tris2d, invz, src = screen_triangles(scene, frustum._o, frustum._basis,
-                                         frustum.half_extent, frustum.near,
-                                         frustum.far, sx, sy)
+    tris2d, invz, src = screen_triangles(scene, frustum, sx, sy)
     wv = depth_to_w(frustum, 1.0 / invz)
     for tri, px, py, b1, b2 in iter_raster_chunks(tris2d, sx, sy):
         a = invz[tri]
@@ -322,19 +320,16 @@ class TestFragmentStream:
     def test_far_plane_sample_sets_last_slab(self):
         """A sample whose interpolated depth is exactly the far plane (w = 1)
         lands in slab N_z - 1, not one slab past the grid."""
-        from froxelpvs.core import Frustum
         # tan(fov / 2) = 0.25 and far = 64 make the projection exact, and
         # 1 / (1 / 64) round-trips
-        frustum = Frustum(Vec3(0, 0, 0), Vec3(0, 0, 1), Vec3(0, 1, 0), Vec3(1, 0, 0),
-                          2.0 * np.degrees(np.arctan(0.25)), 1.0, 64.0)
+        frustum = Camera(Vec3(0, 0, 0), Vec3(0, 0, 1), Vec3(0, 1, 0), Vec3(1, 0, 0),
+                         2.0 * np.degrees(np.arctan(0.25)), 1.0, 64.0)
         assert frustum.half_extent == 0.25
         # vertex 0 sits on the far plane at the centre of raster pixel (16, 16);
         # the sample there has b1 = b2 = 0, so its depth is vertex 0's
         verts = np.array([[0.5, 0.5, 64.0], [4.0, 0.5, 32.0], [0.5, 4.0, 32.0]])
         scene = TriScene(verts, [[0, 1, 2]])
-        tris2d, _, _ = screen_triangles(scene, frustum._o, frustum._basis,
-                                        frustum.half_extent, frustum.near, frustum.far,
-                                        SUPERSAMPLE * 8, SUPERSAMPLE * 8)
+        tris2d, _, _ = screen_triangles(scene, frustum, SUPERSAMPLE * 8, SUPERSAMPLE * 8)
         assert tris2d[0, 0].tolist() == [16.5, 16.5]
         key = (16 // SUPERSAMPLE, 16 // SUPERSAMPLE, 7)
         assert froxelize(scene, frustum, (8, 8, 8)).get(*key) == 1
@@ -442,10 +437,10 @@ def _clip_polygon_reference(poly, signed_dist):
     return np.asarray(out, dtype=np.float64).reshape(-1, poly.shape[1])
 
 
-def _screen_triangles_reference(scene, origin, basis, half_extent, near, far,
-                                width, height):
+def _screen_triangles_reference(scene, camera, width, height):
     """:func:`screen_triangles` with a Python loop clipping one triangle at a time."""
-    cam = (scene.vertices - origin) @ basis.T
+    near, far, half_extent = camera.near, camera.far, camera.half_extent
+    cam = (scene.vertices - camera.origin) @ camera.basis.T
     tris = scene.triangles
     z = cam[:, 2][tris]
     candidates = np.nonzero((z.max(axis=1) > near) & (z.min(axis=1) < far))[0]
@@ -592,7 +587,8 @@ class TestRasterizer:
             verts += np.column_stack([xy, z]).tolist()
             tris.append([3 * i, 3 * i + 1, 3 * i + 2])
         scene = TriScene(np.array(verts), np.array(tris))
-        args = (np.zeros(3), np.eye(3), 1.0, near, 20.0, 64, 48)
+        args = (Camera(Vec3(0, 0, 0), Vec3(0, 0, 1), Vec3(0, 1, 0), Vec3(1, 0, 0),
+                       90.0, near, 20.0), 64, 48)
         got = screen_triangles(scene, *args)
         ref = _screen_triangles_reference(scene, *args)
         assert len(ref[2]) > len(zs) // 2

@@ -1,14 +1,14 @@
-"""Depth-buffer rendering, viewpoint sampling, and the two GT oracles."""
+"""Depth-buffer rendering, viewpoint sampling, the GT oracle, and a
+brute-force ray-casting oracle that cross-checks it."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
-from froxelpvs.core import Camera, TriScene, Vec3, build_viewcell_frustum
-from froxelpvs.froxel import froxel_id_map, froxelize
-from froxelpvs.oracle import (OracleConfig, compute_gt_pvs, ray_cast_pvs,
-                              render_depth, sample_viewpoints)
+from froxelpvs.core import Camera, TriScene, Vec3, build_viewcell_frustum, project_points
+from froxelpvs.froxel import FroxelGrid, froxel_id_map, froxelize, quantize
+from froxelpvs.oracle import OracleConfig, compute_gt_pvs, render_depth, sample_viewpoints
 from froxelpvs.scenegen import SceneGenConfig, generate_scene
 
 from conftest import default_cell, quad_at
@@ -117,12 +117,12 @@ class TestComputeGtPvs:
         z = frustum.near + w_occ * (frustum.far - frustum.near)
         half = 1.5 * z * frustum.half_extent
         ov, ot = quad_at(0.0, half, half)
-        world = frustum._o + np.column_stack(
-            [ov[:, 0], ov[:, 1], np.full(4, z)]) @ frustum._basis
+        world = frustum.origin + np.column_stack(
+            [ov[:, 0], ov[:, 1], np.full(4, z)]) @ frustum.basis
         bv, bt = quad_at(0.0, half, half)
         behindz = frustum.near + 0.9 * (frustum.far - frustum.near)
-        behind = frustum._o + np.column_stack(
-            [bv[:, 0], bv[:, 1], np.full(4, behindz)]) @ frustum._basis
+        behind = frustum.origin + np.column_stack(
+            [bv[:, 0], bv[:, 1], np.full(4, behindz)]) @ frustum.basis
         scene = TriScene(np.vstack([world, behind]), np.vstack([ot, bt + 4]))
         gt = compute_gt_pvs(scene, cell, dims, OracleConfig(viewpoints=32))
         dense = gt.to_dense()
@@ -172,6 +172,64 @@ class TestComputeGtPvs:
         a = compute_gt_pvs(scene, cell, (16, 16, 16), ocfg)
         b = compute_gt_pvs(scene, cell, (16, 16, 16), ocfg)
         assert a == b
+
+
+def _ray_hits(origin, dirs, v0, e1, e2):
+    """Moller-Trumbore over a batch of rays against one triangle.
+
+    Directions are scaled to unit forward depth, so the returned t equals
+    the fragment's forward depth.
+    """
+    h = np.cross(dirs, e2)
+    a = h @ e1
+    mask = np.abs(a) > 1e-12
+    f = np.where(mask, 1.0 / np.where(mask, a, 1.0), 0.0)
+    s = origin - v0
+    u = f * (h @ s)
+    q = np.cross(s, e1)
+    v = f * (dirs @ q)
+    t = f * (q @ e2)
+    hit = mask & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > 0)
+    return hit, t
+
+
+def ray_cast_pvs(scene, cell, dims, rays_per_froxel_face, ocfg, cameras=None):
+    """Brute-force PVS: nearest ray-triangle hits over a deterministic pixel
+    grid per sampled viewpoint, quantized into the viewcell frustum. It
+    shares no rasterization code with :func:`compute_gt_pvs`."""
+    frustum = build_viewcell_frustum(cell)
+    grid = FroxelGrid(dims, role="gt_pvs")
+    cams = cameras if cameras is not None else sample_viewpoints(cell, ocfg)
+    nx, ny, _ = grid.dims
+    rw, rh = rays_per_froxel_face * nx, rays_per_froxel_face * ny
+    if len(scene) == 0:
+        return grid
+
+    tv = scene.triangle_vertices()
+    for cam in cams:
+        he = cam.half_extent
+        us = (np.arange(rw) + 0.5) / rw
+        vs = (np.arange(rh) + 0.5) / rh
+        gu, gv = np.meshgrid(us, vs, indexing="ij")
+        r, u, f = cam.basis
+        dirs = (f[None, :]
+                + (2.0 * gu.ravel()[:, None] - 1.0) * he * r[None, :]
+                + (2.0 * gv.ravel()[:, None] - 1.0) * he * u[None, :])
+        origin = cam.origin
+        best = np.full(len(dirs), np.inf)
+        for tri in tv:
+            hit, t = _ray_hits(origin, dirs, tri[0], tri[1] - tri[0], tri[2] - tri[0])
+            ok = hit & (t >= cam.near) & (t <= cam.far) & (t < best)
+            best[ok] = t[ok]
+        found = np.isfinite(best)
+        if not found.any():
+            continue
+        world = origin + best[found, None] * dirs[found]
+        uvw, inside = project_points(frustum, world)
+        if not inside.any():
+            continue
+        grid.set_many(quantize(uvw[inside], grid.dims))
+    return grid
 
 
 class TestRayCastOracle:
