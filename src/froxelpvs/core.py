@@ -318,26 +318,47 @@ def unproject_ndc(camera: Camera, uvw) -> np.ndarray:
     return camera.origin + np.column_stack([x, y, z]) @ camera.basis
 
 
-def unproject_pixels(camera: Camera, px, py, depth, resolution) -> np.ndarray:
-    """World positions of pixel-center fragments at the given forward depths.
+def reproject_fragments(camera: Camera, frustum: Camera, px, py, depth, resolution):
+    """Unproject depth-buffer fragments of ``camera`` and project them into
+    ``frustum``; the result equals :func:`project_points` of the fragments'
+    world positions bit for bit.
 
-    ``px``/``py`` are integer pixel coordinates in a (width, height) buffer;
-    depth is measured along the camera's forward axis.
+    ``px``/``py`` are integer pixel coordinates in a (width, height) buffer
+    and ``depth`` is forward depth. A fragment sits at the pixel center.
+    Returns ``(uvw, inside)`` like :func:`project_points`, with ``uvw``
+    column-major so each axis is a contiguous vector.
     """
     w, h = resolution
-    px = np.asarray(px, dtype=np.float64)
-    py = np.asarray(py, dtype=np.float64)
-    z = np.asarray(depth, dtype=np.float64)
     he = camera.half_extent
-    x = (2.0 * (px + 0.5) / w - 1.0) * he * z
-    y = (2.0 * (py + 0.5) / h - 1.0) * he * z
-    return camera.origin + np.column_stack([x, y, z]) @ camera.basis
-
-
-def reproject_fragments(camera: Camera, frustum: Camera, px, py, depth, resolution):
-    """Unproject depth-buffer fragments and project them into ``frustum``."""
-    world = unproject_pixels(camera, px, py, depth, resolution)
-    return project_points(frustum, world)
+    z = np.asarray(depth, dtype=np.float64)
+    # camera-space points: (2 (p + 0.5) / n - 1) * he * z, from per-pixel tables
+    cam = np.empty((len(z), 3))
+    for a, (p, n) in enumerate(((px, w), (py, h))):
+        np.take((2.0 * (np.arange(n) + 0.5) / n - 1.0) * he, p, out=cam[:, a])
+        cam[:, a] *= z
+    cam[:, 2] = z
+    pts = cam @ camera.basis
+    # per column: a (3,) operand broadcast over rows runs a length-3 inner loop
+    for a, (o, f) in enumerate(zip(camera.origin, frustum.origin)):
+        pts[:, a] += o
+        pts[:, a] -= f
+    local = np.matmul(pts, np.ascontiguousarray(frustum.basis.T), out=cam)
+    # project_points in place; uvw takes over the buffer of pts, column-major
+    uvw = pts.reshape(3, -1).T
+    z = local[:, 2]
+    inside = z > 0
+    z[~inside] = 1.0
+    np.subtract(z, frustum.near, out=uvw[:, 2])
+    uvw[:, 2] /= frustum.far - frustum.near
+    z *= frustum.half_extent
+    for a in (0, 1):
+        np.multiply(local[:, a], 0.5, out=uvw[:, a])
+        uvw[:, a] /= z
+        uvw[:, a] += 0.5
+    for a in range(3):
+        inside &= uvw[:, a] >= 0
+        inside &= uvw[:, a] <= 1
+    return uvw, inside
 
 
 # ---------------------------------------------------------------------------

@@ -37,15 +37,15 @@ def quantize(uvw, dims):
 
     Applies floor(u * N) per axis with the exact upper boundary (1.0)
     clamped back into range. Accepts a single triple or an (N, 3) array and
-    returns int64 indices of the same leading shape.
+    returns int64 indices of the same leading shape. On finite input,
+    clipping u * N to [0, N - 1] and truncating equals the floor, clipped.
     """
     arr = np.asarray(uvw, dtype=np.float64)
     scalar = arr.ndim == 1
     arr = np.atleast_2d(arr)
     idx = np.empty(arr.shape, dtype=np.int64)
     for a, n in enumerate(int(d) for d in dims):
-        np.clip(np.floor(arr[..., a] * float(n)), 0, n - 1, out=idx[..., a],
-                casting="unsafe")
+        np.clip(arr[..., a] * float(n), 0, n - 1, out=idx[..., a], casting="unsafe")
     return idx[0] if scalar else idx
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Camera, TriScene, ViewCell, build_viewcell_frustum, reproject_fragments
-from .froxel import FroxelGrid, interp_affine, iter_raster_chunks, quantize, \
+from .froxel import _MAX_PAIRS, FroxelGrid, interp_affine, iter_raster_chunks, quantize, \
     screen_triangles
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -74,33 +74,56 @@ def sample_viewpoints(cell: ViewCell, cfg: OracleConfig) -> list:
     return cams
 
 
+def _fragment_chunks(tris2d, invz, far: float, w: int, h: int):
+    """Rasterize screen triangles into a w x h buffer; yields per raster
+    chunk ``(flat pixel, depth, triangle)``, flat = row * w + col.
+
+    Depth is perspective-correct forward depth (1/z interpolated in screen
+    space). A fragment beyond ``far`` keeps its slot with depth +inf, which
+    no z-test lets through.
+    """
+    for tri, px, py, b1, b2 in iter_raster_chunks(tris2d, w, h):
+        depth = 1.0 / interp_affine(invz, tri, b1, b2)
+        depth[depth > far] = np.inf
+        py *= w
+        py += px
+        yield py, depth, tri
+
+
+def _depth_pass(scene: TriScene, camera: Camera, w: int, h: int) -> np.ndarray:
+    """Flat depth buffer of a w x h render, +inf where nothing is covered."""
+    zflat = np.full(w * h, np.inf)
+    tris2d, invz, _src = screen_triangles(scene, camera, w, h)
+    for flat, depth, _tri in _fragment_chunks(tris2d, invz, camera.far, w, h):
+        np.minimum.at(zflat, flat, depth)
+    return zflat
+
+
 def render_depth(scene: TriScene, camera: Camera, resolution) -> DepthBuffer:
-    """Barycentric triangle rasterization with a z-test.
+    """Barycentric triangle rasterization with a z-test and primitive ids.
 
     Depth is measured along the camera's forward axis and is
     perspective-correct (1/z interpolated in screen space). Exact depth ties
     resolve to the smallest primitive id, keeping output order-independent.
+    Ids resolve chunk by chunk: where a chunk lowers a pixel's depth, the
+    pixel's id resets, then the chunk's fragments at the new depth take the
+    minimum. Memory stays the two buffers and one chunk's arrays.
     """
     w, h = int(resolution[0]), int(resolution[1])
+    top = np.iinfo(np.int64).max
     zflat = np.full(w * h, np.inf)
-    iflat = np.full(w * h, np.iinfo(np.int64).max, dtype=np.int64)
-    if len(scene) > 0:
-        tris2d, invz, src = screen_triangles(scene, camera, w, h)
-        chunks = []
-        for tri, px, py, b1, b2 in iter_raster_chunks(tris2d, w, h):
-            depth = 1.0 / interp_affine(invz, tri, b1, b2)
-            keep = depth <= camera.far
-            if not keep.any():
-                continue
-            flat = py[keep] * w + px[keep]
-            depth = depth[keep]
-            np.minimum.at(zflat, flat, depth)
-            chunks.append((flat, depth, scene.primitive_ids[src[tri[keep]]]))
-        for flat, depth, pid in chunks:
-            win = depth <= zflat[flat]
-            np.minimum.at(iflat, flat[win], pid[win])
-    prim = np.where(np.isfinite(zflat), iflat, -1).reshape(h, w)
-    return DepthBuffer(zflat.reshape(h, w), prim)
+    iflat = np.full(w * h, top, dtype=np.int64)
+    tris2d, invz, src = screen_triangles(scene, camera, w, h)
+    pids = scene.primitive_ids[src]
+    for flat, depth, tri in _fragment_chunks(tris2d, invz, camera.far, w, h):
+        old = zflat[flat]
+        np.minimum.at(zflat, flat, depth)
+        new = zflat[flat]
+        iflat[flat[new < old]] = top
+        win = depth == new
+        np.minimum.at(iflat, flat[win], pids[tri[win]])
+    iflat[~np.isfinite(zflat)] = -1
+    return DepthBuffer(zflat.reshape(h, w), iflat.reshape(h, w))
 
 
 def compute_gt_pvs(scene: TriScene, cell: ViewCell, dims, ocfg: OracleConfig,
@@ -108,24 +131,43 @@ def compute_gt_pvs(scene: TriScene, cell: ViewCell, dims, ocfg: OracleConfig,
     """Ground-truth PVS grid: OR of reprojected depth fragments over all
     sampled viewpoints (``cameras`` overrides the sampled set).
 
-    Each camera renders a depth buffer of ``DEPTH_SCALE`` times the grid's
-    x and y resolution. The result need not lie inside ``froxelize``'s grid,
-    because the two sample the scene at different points; training pairs
-    take ``froxelize(...) | gt`` as geometry, which holds the
+    Grid dims are checked before anything renders. Each camera renders a
+    depth-only buffer of ``DEPTH_SCALE`` times the grid's x and y
+    resolution; its covered pixels are reprojected into the viewcell
+    frustum and quantized in slices of at most ``_MAX_PAIRS``, so memory
+    stays one depth buffer, the grid and a chunk's arrays at any resolution.
+    The result need not lie inside ``froxelize``'s grid, because the two
+    sample the scene at different points; training pairs take
+    ``froxelize(...) | gt`` as geometry, which holds the
     PVS-subset-of-geometry property bit-exactly.
     """
+    grid = FroxelGrid(dims, role="gt_pvs")
+    nx, ny, nz = grid.dims
     frustum = build_viewcell_frustum(cell)
-    dims = tuple(int(d) for d in dims)
     cams = cameras if cameras is not None else sample_viewpoints(cell, ocfg)
-    res = (DEPTH_SCALE * dims[0], DEPTH_SCALE * dims[1])
-    seen = np.zeros(dims, dtype=bool)
+    seen = np.zeros(nx * ny * nz, dtype=bool)
     for cam in cams:
-        buf = render_depth(scene, cam, res)
-        rows, cols = np.nonzero(np.isfinite(buf.depth))
-        if len(rows) == 0:
+        zflat = _depth_pass(scene, cam, DEPTH_SCALE * nx, DEPTH_SCALE * ny)
+        _mark_covered(seen, zflat, cam, frustum, grid.dims)
+    grid.bits = np.packbits(seen, bitorder="little")
+    return grid
+
+
+def _mark_covered(seen: np.ndarray, zflat: np.ndarray, camera: Camera, frustum: Camera,
+                  dims) -> None:
+    """Set in the flat grid ``seen`` the froxels that the covered pixels of
+    ``camera``'s flat depth buffer reproject into, in slices of at most
+    ``_MAX_PAIRS`` pixels; the slices' arrays are freed on return."""
+    nx, ny, _ = dims
+    w, h = DEPTH_SCALE * nx, DEPTH_SCALE * ny
+    for start in range(0, len(zflat), _MAX_PAIRS):
+        block = zflat[start:start + _MAX_PAIRS]
+        hit = np.flatnonzero(block < np.inf)
+        if len(hit) == 0:
             continue
-        uvw, inside = reproject_fragments(cam, frustum, cols, rows,
-                                          buf.depth[rows, cols], res)
-        x, y, z = quantize(uvw[inside], dims).T
-        seen[x, y, z] = True
-    return FroxelGrid.from_dense(seen, role="gt_pvs")
+        depth = block[hit]
+        py, px = np.divmod(hit + start, w)
+        uvw, inside = reproject_fragments(camera, frustum, px, py, depth, (w, h))
+        idx = quantize(uvw, dims)
+        flat = idx[:, 0] + nx * (idx[:, 1] + ny * idx[:, 2])
+        seen[flat[inside]] = True

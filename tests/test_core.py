@@ -8,6 +8,7 @@ import pytest
 from froxelpvs.core import (Camera, TriScene, Vec3, ViewCell, build_viewcell_frustum,
                             load_scene, project_points, reproject_fragments, save_scene,
                             unproject_ndc)
+from froxelpvs.oracle import OracleConfig, sample_viewpoints
 
 from conftest import default_cell
 
@@ -15,6 +16,34 @@ from conftest import default_cell
 def _frustum(fov=90.0, near=1.0, far=21.0):
     return Camera(Vec3(0, 0, 0), Vec3(0, 0, 1), Vec3(0, 1, 0), Vec3(1, 0, 0),
                   fov, near, far)
+
+
+def _unproject_pixels(camera: Camera, px, py, depth, resolution) -> np.ndarray:
+    """World positions of pixel-center fragments at the given forward
+    depths: the two-step reference for :func:`reproject_fragments`."""
+    w, h = resolution
+    px = np.asarray(px, dtype=np.float64)
+    py = np.asarray(py, dtype=np.float64)
+    z = np.asarray(depth, dtype=np.float64)
+    he = camera.half_extent
+    x = (2.0 * (px + 0.5) / w - 1.0) * he * z
+    y = (2.0 * (py + 0.5) / h - 1.0) * he * z
+    return camera.origin + np.column_stack([x, y, z]) @ camera.basis
+
+
+def _edge_frustum(camera: Camera, width: int) -> Camera:
+    """A frustum at ``camera``'s pose whose side planes pass exactly through
+    the centers of its first and last pixel columns and rows: the fov is
+    stepped one ulp at a time until the half extent matches bit for bit."""
+    edge = (2.0 * (width - 0.5) / width - 1.0) * camera.half_extent
+    fov = 2.0 * math.degrees(math.atan(edge))
+    for _ in range(1000):
+        fr = Camera(camera.position, camera.forward, camera.up, camera.right, fov,
+                    camera.near, camera.far)
+        if fr.half_extent == edge:
+            return fr
+        fov = math.nextafter(fov, math.inf if fr.half_extent < edge else -math.inf)
+    raise AssertionError("no fov gives the edge half extent exactly")
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -201,6 +230,52 @@ class TestReproject:
         back = Camera.from_forward(cell.center, Vec3(0, 0, -1), 60.0, 0.3, 20.0)
         _, inside = reproject_fragments(back, frustum, [32], [32], [10.0], (64, 64))
         assert not inside[0]
+
+    @pytest.mark.parametrize("case", ["members", "behind", "edges", "empty"])
+    def test_equals_unproject_then_project(self, case, rng):
+        """The fused path equals the two-step reference bit for bit: uvw
+        everywhere (behind the origin too) and the inside flags at u, v, w
+        exactly 0 and 1."""
+        cell = default_cell()
+        frustum = build_viewcell_frustum(cell)
+        res = (64, 64)
+        n = 3000
+        px, py = rng.integers(0, res[0], n), rng.integers(0, res[1], n)
+        if case == "members":
+            cams = sample_viewpoints(cell, OracleConfig(viewpoints=4))
+            depth = rng.uniform(0.3, 30.0, n)
+        elif case == "behind":
+            # cameras at the frustum origin looking back: every point lies behind it
+            cams = [Camera(frustum.position, -frustum.forward, frustum.up, -frustum.right,
+                           60.0, 0.3, 20.0)]
+            depth = rng.uniform(0.3, 20.0, n)
+        elif case == "edges":
+            cam = _frustum(fov=60.0, near=1.0, far=21.0)
+            frustum = _edge_frustum(cam, res[0])
+            cams = [cam]
+            px[::3], py[1::3], py[2::3] = 0, res[1] - 1, 0
+            px[2::5] = res[0] - 1
+            depth = rng.uniform(cam.near, cam.far, n)
+            depth[::4], depth[1::4] = cam.near, cam.far
+            depth[2::8] = np.nextafter(cam.near, 0.0)
+            depth[3::8] = np.nextafter(cam.far, np.inf)
+        else:
+            cams = [frustum]
+            px, py, depth = px[:0], py[:0], np.zeros(0)
+        for cam in cams:
+            uvw, inside = reproject_fragments(cam, frustum, px, py, depth, res)
+            want, want_inside = project_points(
+                frustum, _unproject_pixels(cam, px, py, depth, res))
+            assert uvw.shape == want.shape == (len(depth), 3) and uvw.flags.f_contiguous
+            assert np.array_equal(uvw, want) and np.array_equal(inside, want_inside)
+        if case == "behind":
+            assert not inside.any()
+        if case == "edges":
+            for a in range(3):
+                for bound in (0.0, 1.0):
+                    on = uvw[:, a] == bound
+                    assert on.sum() > 50 and inside[on].any()
+            assert not inside.all()
 
 
 class TestTriScene:

@@ -2,12 +2,15 @@
 brute-force ray-casting oracle that cross-checks it."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from froxelpvs.core import Camera, TriScene, Vec3, build_viewcell_frustum, project_points
-from froxelpvs.froxel import FroxelGrid, froxel_id_map, froxelize, quantize
+from froxelpvs import oracle
+from froxelpvs.froxel import (_MAX_PAIRS, FroxelGrid, froxel_id_map, froxelize, interp_affine,
+                              iter_raster_chunks, quantize, screen_triangles)
 from froxelpvs.oracle import OracleConfig, compute_gt_pvs, render_depth, sample_viewpoints
 from froxelpvs.scenegen import SceneGenConfig, generate_scene
 
@@ -46,6 +49,22 @@ def _two_quads_scene():
     return TriScene(verts, tris, primitive_ids=[0, 0, 1, 1])
 
 
+def _render_reference(scene, cam, w, h):
+    """Depth and id buffers from every fragment at once: one lexsort by
+    pixel, depth and id keeps each covered pixel's nearest, smallest id."""
+    tris2d, invz, src = screen_triangles(scene, cam, w, h)
+    chunks = list(iter_raster_chunks(tris2d, w, h, max_pairs=1 << 40))
+    tri, px, py, b1, b2 = chunks[0] if chunks else [np.zeros(0, int)] * 5
+    depth = 1.0 / interp_affine(invz, tri, b1, b2)
+    keep = depth <= cam.far
+    flat, depth, pid = (py * w + px)[keep], depth[keep], scene.primitive_ids[src[tri[keep]]]
+    order = np.lexsort((pid, depth, flat))
+    first = order[np.flatnonzero(np.diff(flat[order], prepend=-1))]
+    zbuf, ibuf = np.full(w * h, np.inf), np.full(w * h, -1)
+    zbuf[flat[first]], ibuf[flat[first]] = depth[first], pid[first]
+    return zbuf.reshape(h, w), ibuf.reshape(h, w)
+
+
 class TestRenderDepth:
     def test_empty_scene_all_sentinel(self):
         cam = Camera.from_forward(Vec3(0, 0, 0), Vec3(0, 0, 1), 60.0, 0.3, 50.0)
@@ -81,6 +100,48 @@ class TestRenderDepth:
         covered = buf.prim >= 0
         frac = (buf.prim[covered] == 0).mean()
         assert frac == pytest.approx(0.5, abs=0.01)
+
+    @pytest.mark.parametrize("ids", [(7, 3, 5), (-1, -3, -2), (-1, 0, 4)])
+    def test_exact_depth_ties_take_smallest_id(self, ids):
+        """Coplanar duplicates of a screen-filling quad tie exactly at every
+        pixel, across raster chunks; the smallest id wins, -1 among them."""
+        cam = Camera.from_forward(Vec3(0, 0, 0), Vec3(0, 0, 1), 90.0, 0.3, 50.0)
+        v, t = quad_at(10.0, 20.0, 20.0)
+        n = len(ids)
+        scene = TriScene(np.tile(v, (n, 1)), np.vstack([t + 4 * i for i in range(n)]),
+                         primitive_ids=np.repeat(ids, 2))
+        buf = render_depth(scene, cam, (256, 256))
+        assert len(list(iter_raster_chunks(screen_triangles(scene, cam, 256, 256)[0],
+                                           256, 256))) > n
+        assert np.isfinite(buf.depth).all()
+        assert (buf.prim == min(ids)).all()
+
+    def test_ids_equal_one_sort_reference(self):
+        """Per-chunk id resolution equals one lexsort over every fragment, on
+        a multi-chunk render with ids -1 - i."""
+        scene, cell = generate_scene(SceneGenConfig(seed=4))
+        scene = TriScene(scene.vertices, scene.triangles,
+                         primitive_ids=-1 - np.arange(len(scene)))
+        for cam in sample_viewpoints(cell, OracleConfig(viewpoints=3)):
+            buf = render_depth(scene, cam, (320, 192))
+            depth, prim = _render_reference(scene, cam, 320, 192)
+            assert np.array_equal(buf.depth, depth) and np.array_equal(buf.prim, prim)
+            assert np.isfinite(depth).any()
+            assert len(list(iter_raster_chunks(screen_triangles(scene, cam, 320, 192)[0],
+                                               320, 192))) > 1
+
+    def test_far_plane_clips_fragments(self):
+        """A quad tilted through the far plane covers only the pixels where
+        it lies in front of it, in depth and in id."""
+        cam = Camera.from_forward(Vec3(0, 0, 0), Vec3(0, 0, 1), 60.0, 0.3, 20.0)
+        verts = np.array([[-30.0, -30.0, 10.0], [30.0, -30.0, 10.0],
+                          [30.0, 30.0, 40.0], [-30.0, 30.0, 40.0]])
+        scene = TriScene(verts, np.array([[0, 1, 2], [0, 2, 3]]), primitive_ids=[4, 4])
+        buf = render_depth(scene, cam, (64, 64))
+        covered = np.isfinite(buf.depth)
+        assert covered[0].all() and not covered[-1].any()
+        assert (buf.depth[covered] <= cam.far).all()
+        assert np.array_equal(buf.prim, np.where(covered, 4, -1))
 
     def test_depth_values_in_range(self):
         scene, cell = generate_scene(SceneGenConfig(seed=2))
@@ -165,6 +226,34 @@ class TestComputeGtPvs:
                              cell, (16, 16, 16), ocfg)
         assert gt.occupied_count() > 0
         assert neg == gt
+
+    @pytest.mark.parametrize("dims", [(12, 16, 16), (0, 16, 16)])
+    def test_bad_dims_rejected_before_rendering(self, dims, monkeypatch):
+        def fail(*args):
+            raise AssertionError("rendered before the dims were checked")
+
+        monkeypatch.setattr(oracle, "_depth_pass", fail)
+        monkeypatch.setattr(oracle, "screen_triangles", fail)
+        scene, cell = generate_scene(SceneGenConfig(seed=1))
+        with pytest.raises(ValueError):
+            compute_gt_pvs(scene, cell, dims, OracleConfig(viewpoints=4))
+
+    def test_peak_memory_follows_depth_buffer_and_chunk_budget(self):
+        """Two 512^2 views: the working set is the flat depth buffer, the
+        grid and chunk-sized arrays, not every covered pixel at once."""
+        scene, cell = generate_scene(SceneGenConfig(seed=4))
+        dims = (128, 128, 32)
+        tracemalloc.start()
+        try:
+            gt = compute_gt_pvs(scene, cell, dims, OracleConfig(viewpoints=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gt.occupied_count() > 0
+        w, h = 4 * dims[0], 4 * dims[1]
+        per_pixel = 32       # bytes per depth-buffer pixel
+        grid = dims[0] * dims[1] * dims[2] * 9 // 8      # flat bool grid and its bits
+        assert peak < per_pixel * w * h + grid + 32 * 8 * _MAX_PAIRS
 
     def test_determinism(self):
         scene, cell = generate_scene(SceneGenConfig(seed=8, count_range=(3, 5)))
@@ -275,6 +364,13 @@ GOLDEN_GT = {
     3: ("005a72f853e036e13ce8f9ede5bd3975dc433043fd9e2391388a0e5ca811fdea",
         "815df136f8705ad36dbb96115781954ca87a28513c231cfa176fd26e3967e5e8"),
 }
+# seed: gt bits at 64^3 with 3 viewpoints; 256^2 renders take several raster
+# chunks and reprojection slices each
+GOLDEN_GT_MULTICHUNK = {
+    1: "c9d6ea32aba3e80740c774634fba3e3c3cd87c299f71e0861261dc03a9533e17",
+    2: "4d7c990199381c10fa77af954e45939d0007ca81bd0d1c92ba1885072a0519ab",
+    3: "5e8fb651ee462edab4a12f72d414867e7208c15b4697ceea607c2b4bb788786e",
+}
 # seed: (froxelize bits, id map items) at 32^3
 GOLDEN_FROXELIZE = {
     1: ("4a22b5218fc41e0eb9862b02c805cfdb10f9844086de692361f1cbf17d3ac268",
@@ -302,6 +398,12 @@ class TestGoldenOutputs:
         geo = froxelize(scene, build_viewcell_frustum(cell), (16, 16, 16))
         gt = compute_gt_pvs(scene, cell, (16, 16, 16), OracleConfig(viewpoints=16))
         assert (_sha(gt.bits.tobytes()), _sha(geo.bits.tobytes())) == GOLDEN_GT[seed]
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_GT_MULTICHUNK))
+    def test_compute_gt_pvs_multichunk_bits(self, seed):
+        scene, cell = generate_scene(SceneGenConfig(seed=seed))
+        gt = compute_gt_pvs(scene, cell, (64, 64, 64), OracleConfig(viewpoints=3))
+        assert _sha(gt.bits.tobytes()) == GOLDEN_GT_MULTICHUNK[seed]
 
     @pytest.mark.parametrize("seed", sorted(GOLDEN_FROXELIZE))
     def test_froxelize_and_id_map(self, seed):
