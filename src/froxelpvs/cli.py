@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import Vec3, ViewCell, build_viewcell_frustum, load_scene
 from .froxel import FroxelGrid, froxel_id_map, froxelize
-from .neural import ModelConfig, TrainConfig, TrainingDiverged, load_pairs, \
+from .neural import ModelConfig, PvsNet, TrainConfig, TrainingDiverged, load_pairs, \
     predict_pvs, train
 from .oracle import OracleConfig, compute_gt_pvs
 from .scenegen import DatasetError, SceneGenConfig, generate_dataset
@@ -43,27 +43,27 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class RunConfig:
-    """All knobs for one CLI invocation, validated before dispatch."""
+    """All knobs for one CLI invocation, validated before dispatch. A knob
+    that a library config also holds takes its default from there."""
 
     command: str = ""
     dims: tuple = (32, 32, 32)
-    radius: float = 0.3
-    fov: float = 60.0
-    beta: float = 15.0
-    near: float = 0.3
-    far: float = 20.0
+    radius: float = SceneGenConfig.radius
+    fov: float = SceneGenConfig.fov_deg
+    beta: float = SceneGenConfig.beta_deg
+    near: float = SceneGenConfig.near
+    far: float = SceneGenConfig.far
     d: int = 4
-    viewpoints: int = 128
-    seed: int = 0
+    viewpoints: int = OracleConfig.viewpoints
+    seed: int = SceneGenConfig.seed         # also the training seed
     frames: int = 200
-    epochs: int = 50
-    batch: int = 3
+    epochs: int = TrainConfig.epochs
+    batch: int = TrainConfig.batch_size
     holdout: int = 0
-    lr: float = 1e-3
-    decay: float = 1e-10
-    alpha: float = 0.1
-    lam: float = 0.99
-    tau: float = 0.5
+    lr: float = TrainConfig.lr
+    alpha: float = TrainConfig.alpha
+    lam: float = TrainConfig.lam
+    tau: float = TrainConfig.tau
     cell_center: tuple = (0.0, 1.5, 0.0)
     cell_yaw: float = 0.0
     out: str = ""
@@ -85,8 +85,7 @@ class RunConfig:
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(alpha=self.alpha, lam=self.lam, tau=self.tau, lr=self.lr,
-                           decay=self.decay, batch_size=self.batch,
-                           epochs=self.epochs, seed=self.seed)
+                           batch_size=self.batch, epochs=self.epochs, seed=self.seed)
 
     def scene_config(self) -> SceneGenConfig:
         return SceneGenConfig(seed=self.seed, radius=self.radius, fov_deg=self.fov,
@@ -102,20 +101,14 @@ def _parse_triple(text: str, cast):
     return tuple(cast(p) for p in parts)
 
 
-_CASTS = {
-    "dims": lambda s: _parse_triple(s, int),
-    "cell_center": lambda s: _parse_triple(s, float),
-    "radius": float, "fov": float, "beta": float, "near": float, "far": float,
-    "d": int, "viewpoints": int, "seed": int, "frames": int,
-    "epochs": int, "batch": int, "holdout": int,
-    "lr": float, "decay": float, "alpha": float, "lam": float, "tau": float,
-    "cell_yaw": float,
-}
-
-
 def _cast(key: str, text: str):
+    """``text`` as the type of field ``key``'s default; a tuple default
+    takes one or three values of its element type."""
+    default = getattr(RunConfig, key)
     try:
-        return _CASTS.get(key, str)(text)
+        if isinstance(default, tuple):
+            return _parse_triple(text, type(default[0]))
+        return type(default)(text)
     except ValueError as exc:
         raise UsageError(f"bad value for {key}: {text!r}") from exc
 
@@ -157,7 +150,6 @@ _HELP = {
     "epochs": "training epochs",
     "batch": "pairs per gradient step",
     "lr": "learning rate",
-    "decay": "multiplicative per-step learning-rate decay",
     "alpha": "Dice false-positive weight",
     "lam": "weight of the Dice term against the RVL term",
     "manifest": "dataset manifest",
@@ -181,7 +173,7 @@ _OPTIONS = {
     "gt": ("ground-truth PVS for a scene file",
            ("dims", "viewpoints", *_CELL, "scene", "out", "geometry_out")),
     "train": ("train the estimator on a dataset manifest",
-              ("d", "seed", "tau", "epochs", "batch", "lr", "decay", "alpha", "lam",
+              ("d", "seed", "tau", "epochs", "batch", "lr", "alpha", "lam",
                "manifest", "log", "out", "holdout")),
     "infer": ("predict a PVS grid from a geometry grid; the prediction is a "
               "subset of the geometry", ("tau", "geometry", "checkpoint", "out")),
@@ -266,6 +258,7 @@ def cmd_train(cfg: RunConfig) -> int:
     _require(cfg, "manifest", "out")
     if cfg.holdout < 0:
         raise UsageError(f"froxelpvs train: --holdout must be at least 0, got {cfg.holdout}")
+    mcfg, tcfg = ModelConfig.default(cfg.d), cfg.train_config()
     pairs = load_pairs(cfg.manifest)
     if cfg.holdout >= len(pairs):
         raise UsageError("holdout must leave at least one training pair")
@@ -276,7 +269,7 @@ def cmd_train(cfg: RunConfig) -> int:
               f"by d={cfg.d}", file=sys.stderr)
         return EXIT_VALIDATION
     log_path = cfg.log or (cfg.out + ".epochs.csv")
-    net, history = train(train_pairs, ModelConfig.default(cfg.d), cfg.train_config(),
+    net, history = train(train_pairs, mcfg, tcfg,
                          eval_pairs=eval_pairs, checkpoint_path=cfg.out,
                          log_path=log_path, verbose=True)
     print(json.dumps({"checkpoint": cfg.out, "epochs": len(history),
@@ -287,7 +280,7 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_infer(cfg: RunConfig) -> int:
     _require(cfg, "geometry", "checkpoint", "out")
     grid = FroxelGrid.load(cfg.geometry)
-    pred = predict_pvs(grid, cfg.checkpoint, cfg.tau)
+    pred = predict_pvs(grid, PvsNet.load(cfg.checkpoint), cfg.tau)
     pred.save(cfg.out)
     print(f"predicted occupancy {pred.occupancy():.4f} -> {cfg.out}")
     return EXIT_OK

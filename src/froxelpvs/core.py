@@ -86,11 +86,11 @@ def rotate_about(v: Vec3, axis: Vec3, angle_deg: float) -> Vec3:
 class TriScene:
     """Indexed triangle mesh set with one primitive id per triangle.
 
-    Degenerate triangles (area <= ``area_eps``) are dropped at construction
+    Degenerate triangles (area <= ``AREA_EPS``) are dropped at construction
     and counted in ``dropped_degenerate``.
     """
 
-    def __init__(self, vertices, triangles, primitive_ids=None, area_eps: float = AREA_EPS):
+    def __init__(self, vertices, triangles, primitive_ids=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64).reshape(-1, 3)
         tris = np.ascontiguousarray(triangles, dtype=np.int64).reshape(-1, 3)
         if tris.size and (tris.min() < 0 or tris.max() >= len(self.vertices)):
@@ -101,19 +101,19 @@ class TriScene:
         if len(pids) != len(tris):
             raise ValueError("primitive_ids must have one entry per triangle")
 
-        keep = self._area_mask(self.vertices, tris, area_eps)
+        keep = self._area_mask(self.vertices, tris)
         self.dropped_degenerate = int(len(tris) - keep.sum())
         self.triangles = tris[keep]
         self.primitive_ids = pids[keep]
 
     @staticmethod
-    def _area_mask(verts, tris, eps):
+    def _area_mask(verts, tris):
         if len(tris) == 0:
             return np.zeros(0, dtype=bool)
         p = verts[tris]
         cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
         area = 0.5 * np.linalg.norm(cross, axis=1)
-        return area > eps
+        return area > AREA_EPS
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -184,9 +184,9 @@ class Camera:
 
     @classmethod
     def from_forward(cls, position: Vec3, forward: Vec3, fov_deg: float,
-                     near: float, far: float, up_hint: Vec3 = Vec3(0, 1, 0)) -> "Camera":
+                     near: float, far: float) -> "Camera":
         f = forward.normalized()
-        r = f.cross(up_hint)
+        r = f.cross(Vec3(0, 1, 0))
         if r.norm() < 1e-9:
             r = f.cross(Vec3(1, 0, 0))
         r = r.normalized()
@@ -241,9 +241,8 @@ class ViewCell:
 
     @classmethod
     def from_forward(cls, center: Vec3, radius: float, fov_deg: float, beta_deg: float,
-                     forward: Vec3, near: float, far: float,
-                     up_hint: Vec3 = Vec3(0, 1, 0)) -> "ViewCell":
-        cam = Camera.from_forward(center, forward, fov_deg, near, far, up_hint)
+                     forward: Vec3, near: float, far: float) -> "ViewCell":
+        cam = Camera.from_forward(center, forward, fov_deg, near, far)
         return cls(center, radius, fov_deg, beta_deg, cam.forward, cam.up, cam.right, near, far)
 
     @property

@@ -75,16 +75,17 @@ def pixel_error_rate(scene: TriScene, camera: Camera, pvs: FroxelGrid,
                      id_map: FroxelIdMap, resolution=(256, 256)) -> float:
     """Fraction of pixels whose visible primitive changes after culling.
 
-    Both renders use the same deterministic rasterizer; a pixel exposing
-    background because its primitive was culled counts as an error.
-    Coverage is compared apart from the id, because ``prim`` marks the
-    background with -1, which is also a valid primitive id.
+    One render gives the rate that comparing renders with and without the
+    culled primitives gives. A triangle's fragments do not depend on the
+    other triangles, so a kept winner still wins a pixel after culling, by
+    depth and then by the smallest id; a culled winner leaves another id or
+    background. So a pixel is an error exactly when it is covered and its
+    winner is culled. Coverage is read from the depth, because ``prim``
+    marks the background with -1, which is also a valid primitive id.
     """
-    kept = cull(scene, pvs, id_map)
+    kept = np.fromiter(cull(scene, pvs, id_map), dtype=np.int64)
     full = render_depth(scene, camera, resolution)
-    culled = render_depth(scene.subset(kept), camera, resolution)
-    coverage_differs = np.isfinite(full.depth) != np.isfinite(culled.depth)
-    return float((coverage_differs | (full.prim != culled.prim)).mean())
+    return float((np.isfinite(full.depth) & ~np.isin(full.prim, kept)).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -62,12 +62,12 @@ def interleave(grid, d: int) -> ChannelTensor:
 
 
 def deinterleave(tensor: ChannelTensor, d: int | None = None,
-                 threshold: float | None = None, role: str = "predicted_pvs"):
+                 threshold: float | None = None):
     """Invert :func:`interleave`.
 
     Without a threshold the dense real-valued grid is returned. With a
     threshold tau the indicator [value >= tau] is applied and the result is
-    packed into a FroxelGrid.
+    packed into a FroxelGrid of role ``predicted_pvs``.
     """
     if d is None:
         d = tensor.d
@@ -78,4 +78,4 @@ def deinterleave(tensor: ChannelTensor, d: int | None = None,
     dense = cells.transpose(0, 5, 1, 4, 2, 3).reshape(bx * d, by * d, bz * d)
     if threshold is None:
         return np.ascontiguousarray(dense)
-    return FroxelGrid.from_dense(dense >= threshold, role=role)
+    return FroxelGrid.from_dense(dense >= threshold, role="predicted_pvs")

@@ -33,6 +33,7 @@ from .interleave import ChannelTensor, deinterleave, interleave
 FPVW_MAGIC = b"FPVW"
 FPVW_VERSION = 1
 ACTIVATIONS = ("relu", "sigmoid", "none")
+IDENTITY_NOISE = 0.02   # identity init: weight noise, before fan-in scaling
 
 
 class TrainingDiverged(RuntimeError):
@@ -79,8 +80,6 @@ class ModelConfig:
     init: str = "he"
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("interleave factor must be >= 1")
         if not self.layers:
             raise ValueError("model needs at least one layer")
         if self.init not in ("he", "identity"):
@@ -100,7 +99,9 @@ class ModelConfig:
                     raise ValueError("identity init needs >= d^3 channels per hidden layer")
 
     @classmethod
-    def default(cls, d: int = 4, hidden: int = 32, init: str = "he") -> "ModelConfig":
+    def default(cls, d: int, hidden: int = 32, init: str = "he") -> "ModelConfig":
+        if d < 1:
+            raise ValueError(f"interleave factor d must be >= 1, got {d}")
         c = d ** 3
         return cls(d, [ConvSpec(3, c, hidden, "relu"),
                        ConvSpec(3, hidden, hidden, "relu"),
@@ -115,7 +116,6 @@ class TrainConfig:
     lam: float = 0.99         # combined-loss weight on the Dice term
     tau: float = 0.5          # decision threshold
     lr: float = 1e-3
-    decay: float = 1e-10      # multiplicative per-step learning-rate decay
     batch_size: int = 3
     epochs: int = 50
     seed: int = 0
@@ -125,14 +125,12 @@ class TrainConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if not 0.0 <= self.decay < 1.0:
-            raise ValueError("decay must lie in [0, 1)")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
         if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch size must be >= 1 and epochs >= 0")
+            raise ValueError(f"need batch >= 1, epochs >= 0; got {self.batch_size}, {self.epochs}")
         if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -182,11 +180,11 @@ class Conv3d:
             self.w = rng.normal(0.0, scale, size=(k3c, spec.out_channels))
         self.b = np.zeros(spec.out_channels)
 
-    def seed_identity(self, rng: np.random.Generator, gain: float, noise: float = 0.02):
+    def seed_identity(self, rng: np.random.Generator, gain: float):
         """Center-tap identity on matching channels plus small noise."""
         k = self.spec.kernel
         cin, cout = self.spec.in_channels, self.spec.out_channels
-        w = rng.normal(0.0, noise / np.sqrt(k ** 3 * cin), size=(k ** 3, cin, cout))
+        w = rng.normal(0.0, IDENTITY_NOISE / np.sqrt(k ** 3 * cin), size=(k ** 3, cin, cout))
         for j in range(min(cin, cout)):
             w[(k ** 3) // 2, j, j] += gain
         self.w = w.reshape(k ** 3 * cin, cout)
@@ -471,24 +469,22 @@ def evaluate_pairs(net: PvsNet, x: np.ndarray, y: np.ndarray, tau: float):
 
 def train(pairs, mcfg: ModelConfig, tcfg: TrainConfig, eval_pairs=None,
           checkpoint_path=None, log_path=None, verbose: bool = False):
-    """Mini-batch gradient descent over dataset pairs.
+    """Mini-batch gradient descent at the fixed rate ``tcfg.lr`` over a
+    list of (geometry, gt) FroxelGrid pairs (:func:`load_pairs` reads them
+    from a dataset manifest).
 
-    ``pairs`` is a manifest path or a list of (geometry, gt) FroxelGrids.
     Returns ``(net, history)`` where history holds one dict per epoch with
     the mean combined loss and the hard FNR/FPR, at threshold tau, of the
     PVS that :func:`predict_pvs` ships: masked by geometry, as the held-out
     rates are when ``eval_pairs`` is given. Deterministic for a fixed seed.
     With ``verbose`` each epoch's dict goes to stdout as one JSON line.
     """
-    if isinstance(pairs, (str, Path)):
-        pairs = load_pairs(pairs)
     x, y = _tensor_pairs(pairs, mcfg.d)
     ev = _tensor_pairs(eval_pairs, mcfg.d) if eval_pairs else None
     rng = np.random.Generator(np.random.PCG64(tcfg.seed))
     net = PvsNet(mcfg, rng)
     n = len(x)
     history = []
-    step = 0
     for epoch in range(tcfg.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
@@ -508,8 +504,7 @@ def train(pairs, mcfg: ModelConfig, tcfg: TrainConfig, eval_pairs=None,
             if not np.isfinite(loss):
                 raise TrainingDiverged(start // tcfg.batch_size, loss)
             grads = net.backward(grad, caches)
-            net.sgd_step(grads, tcfg.lr * (1.0 - tcfg.decay) ** step)
-            step += 1
+            net.sgd_step(grads, tcfg.lr)
             epoch_loss += loss * len(batch)
             counts += _hard_counts(pred, bx, by, tcfg.tau)
         fnr, fpr = _rates(counts)
@@ -589,18 +584,20 @@ def _sparse_output(net: PvsNet, x: np.ndarray) -> np.ndarray:
     return p
 
 
-def predict_pvs(grid: FroxelGrid, net, tau: float = 0.5) -> FroxelGrid:
+def predict_pvs(grid: FroxelGrid, net: PvsNet, tau: float = TrainConfig.tau) -> FroxelGrid:
     """Interleave, run the network sparsely with threshold tau, mask by the
     geometry grid and deinterleave.
 
-    The result is the dense network's ``p >= tau`` AND ``grid``, so the
+    ``net`` is a loaded network (:meth:`PvsNet.load` reads a checkpoint).
+    tau defaults to the training threshold and, as there, must lie in
+    [0, 1]. The result is the dense network's ``p >= tau`` AND ``grid``, so the
     predicted PVS is a subset of the geometry. That costs the runtime
     nothing: ``cull`` reads PVS bits only at the froxel id map's keys, which
     are the geometry grid's set froxels. So only the cells that can reach a
     set froxel need computing.
     """
-    if isinstance(net, (str, Path)):
-        net = PvsNet.load(net)
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must lie in [0, 1], got {tau}")
     d = net.cfg.d
     if any(dim % d for dim in grid.dims):
         raise ValueError(f"grid dims {grid.dims} not divisible by interleave factor {d}")

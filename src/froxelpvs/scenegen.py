@@ -24,6 +24,13 @@ PRIMITIVE_KINDS = ("cube", "cone", "pyramid", "cylinder", "dodecahedron",
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
+# Fixed shape of the scene distribution; SceneGenConfig holds what callers vary.
+SCALE_RANGE = (0.5, 4.0)        # per-axis object scale, log-uniform
+STRETCH_PROB = 0.15             # chance an object becomes a wall/floor slab
+STRETCH_RANGE = (5.0, 20.0)     # slab stretch on two axes, log-uniform
+CEILING_HEIGHT = 6.0            # height of the optional ceiling plane (m)
+HEIGHT_RANGE = (0.8, 2.2)       # viewcell height above the floor (m), uniform
+
 
 # ---------------------------------------------------------------------------
 # Primitive meshes (unit-sized, centered at the origin)
@@ -264,15 +271,10 @@ class SceneGenConfig:
     seed: int = 0
     count_range: tuple = (6, 14)
     class_weights: dict | None = None       # defaults to uniform over all kinds
-    scale_range: tuple = (0.5, 4.0)         # log-uniform, per axis
-    stretch_prob: float = 0.15              # turn an object into a wall/floor slab
-    stretch_range: tuple = (5.0, 20.0)      # log-uniform factor on two axes
     floor: bool = True
     wall: bool = True
     ceiling: bool = False
-    ceiling_height: float = 6.0
     extent: float = 12.0                    # lateral placement half-extent (m)
-    height_range: tuple = (0.8, 2.2)        # viewcell height above the floor
     radius: float = 0.3
     fov_deg: float = 60.0
     beta_deg: float = 15.0
@@ -283,8 +285,6 @@ class SceneGenConfig:
         lo, hi = self.count_range
         if lo > hi or hi < 0:
             raise ValueError("object count range is empty")
-        if self.scale_range[0] <= 0 or self.stretch_range[0] <= 0:
-            raise ValueError("scales must be positive")
 
 
 def _rotation(rng) -> np.ndarray:
@@ -312,13 +312,13 @@ def generate_scene(cfg: SceneGenConfig):
     probs /= probs.sum()
 
     n_objects = int(rng.integers(cfg.count_range[0], cfg.count_range[1] + 1))
-    lo_s, hi_s = np.log(cfg.scale_range[0]), np.log(cfg.scale_range[1])
-    lo_t, hi_t = np.log(cfg.stretch_range[0]), np.log(cfg.stretch_range[1])
+    lo_s, hi_s = np.log(SCALE_RANGE[0]), np.log(SCALE_RANGE[1])
+    lo_t, hi_t = np.log(STRETCH_RANGE[0]), np.log(STRETCH_RANGE[1])
     for _ in range(n_objects):
         kind = kinds[int(rng.choice(len(kinds), p=probs))]
         verts, tris = primitive_mesh(kind)
         scale = np.exp(rng.uniform(lo_s, hi_s, size=3))
-        if rng.random() < cfg.stretch_prob:
+        if rng.random() < STRETCH_PROB:
             axes = rng.permutation(3)[:2]
             scale[axes] *= np.exp(rng.uniform(lo_t, hi_t, size=2))
         v = verts * scale
@@ -328,7 +328,7 @@ def generate_scene(cfg: SceneGenConfig):
                         rng.uniform(-cfg.extent, cfg.extent)])
         builder.add(v + pos, tris)
 
-    height = rng.uniform(*cfg.height_range)
+    height = rng.uniform(*HEIGHT_RANGE)
     yaw = rng.uniform(0.0, 2.0 * math.pi)
     forward = Vec3(math.sin(yaw), 0.0, math.cos(yaw))
 
@@ -340,7 +340,7 @@ def generate_scene(cfg: SceneGenConfig):
     if cfg.ceiling:
         v, f = _plane()
         flat = v[:, [0, 2, 1]] * np.array([2 * span, 0.0, 2 * span])
-        flat[:, 1] = cfg.ceiling_height
+        flat[:, 1] = CEILING_HEIGHT
         builder.add(flat, f[:, [0, 2, 1]])
     if cfg.wall:
         v, f = _plane()
@@ -381,8 +381,8 @@ def frame_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def generate_dataset(cfg: SceneGenConfig, n_frames: int, out_dir,
-                     dims=(32, 32, 32), ocfg: OracleConfig | None = None) -> Path:
+def generate_dataset(cfg: SceneGenConfig, n_frames: int, out_dir, dims,
+                     ocfg: OracleConfig) -> Path:
     """Write ``n_frames`` (geometry, gt) grid pairs plus a manifest.
 
     The manifest is line-oriented: ``index seed geometry_path gt_path``.
@@ -393,7 +393,6 @@ def generate_dataset(cfg: SceneGenConfig, n_frames: int, out_dir,
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ocfg = ocfg or OracleConfig()
     lines = ["# froxelpvs dataset: index seed geometry gt"]
     for i in range(n_frames):
         seed = frame_seed(cfg.seed, i)

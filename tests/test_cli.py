@@ -1,12 +1,20 @@
 """Exit codes of the command-line front end: 0 success, 1 usage error,
 2 I/O error, 3 validation failure."""
 
+import ast
+import inspect
 import json
+from dataclasses import fields
 
 import pytest
 
-from froxelpvs.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from froxelpvs import cli
+from froxelpvs.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, RunConfig, main, \
+    parse_run_config
 from froxelpvs.froxel import FroxelGrid
+from froxelpvs.neural import ModelConfig, PvsNet, TrainConfig
+from froxelpvs.oracle import OracleConfig
+from froxelpvs.scenegen import SceneGenConfig
 
 CASES = {
     "eval": (["eval", "--pred", "{a}", "--gt", "{a}", "--out", "{out}"], EXIT_OK),
@@ -54,6 +62,19 @@ CASES = {
     "supersample is no config key": (
         ["eval", "--config", "{supersample}", "--pred", "{a}", "--gt", "{a}",
          "--out", "{out}"], EXIT_USAGE),
+    "--decay is no flag": (["train", "--decay", "1e-10", "--manifest", "{missing}",
+                            "--out", "{out}"], EXIT_USAGE),
+    "decay is no config key": (["train", "--config", "{decay}", "--manifest", "{missing}",
+                                "--out", "{out}"], EXIT_USAGE),
+    # model and optimizer values are checked before the manifest is read
+    "train --d 0": (["train", "--d", "0", "--manifest", "{missing}", "--out", "{out}"],
+                    EXIT_VALIDATION),
+    "train --lr nan": (["train", "--lr", "nan", "--manifest", "{missing}", "--out", "{out}"],
+                       EXIT_VALIDATION),
+    "infer --tau 1.5": (["infer", "--tau", "1.5", "--geometry", "{a}", "--checkpoint", "{net}",
+                         "--out", "{out}"], EXIT_VALIDATION),
+    "infer --tau nan": (["infer", "--tau", "nan", "--geometry", "{a}", "--checkpoint", "{net}",
+                         "--out", "{out}"], EXIT_VALIDATION),
 }
 
 
@@ -64,19 +85,99 @@ def test_exit_code(case, tmp_path, capsys):
              "missing": tmp_path / "missing.fpvw", "bad_key": tmp_path / "bad.cfg",
              "threshold": tmp_path / "threshold.cfg", "bad_value": tmp_path / "value.cfg",
              "supersample": tmp_path / "supersample.cfg", "data": tmp_path / "data",
-             "short_v": tmp_path / "short_v.obj", "short_f": tmp_path / "short_f.obj"}
+             "short_v": tmp_path / "short_v.obj", "short_f": tmp_path / "short_f.obj",
+             "decay": tmp_path / "decay.cfg", "net": tmp_path / "net.fpvw"}
     FroxelGrid((16, 16, 16)).save(paths["a"])
+    PvsNet(ModelConfig.default(2, hidden=4)).save(paths["net"])
     FroxelGrid((8, 8, 8)).save(paths["b"])
     paths["bad_key"].write_text("no_such_key = 1\n")
     paths["threshold"].write_text("threshold_distance = 10\n")
     paths["bad_value"].write_text("seed = many\n")
     paths["supersample"].write_text("supersample = 4\n")
+    paths["decay"].write_text("decay = 1e-10\n")
     paths["short_v"].write_text("v 0 0 0\nv 1 0\n")
     paths["short_f"].write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2\n")
     rc = main([arg.format(**paths) for arg in argv])
     assert rc == want
     assert "Traceback" not in capsys.readouterr().err
     assert not (paths["data"] / "manifest.txt").exists()
+    assert want == EXIT_OK or not paths["out"].exists()
+
+
+# RunConfig field -> the library config defaults it mirrors; the first one
+# is the expression its default is written as
+MIRRORS = {
+    "radius": [(SceneGenConfig, "radius")],
+    "fov": [(SceneGenConfig, "fov_deg")],
+    "beta": [(SceneGenConfig, "beta_deg")],
+    "near": [(SceneGenConfig, "near")],
+    "far": [(SceneGenConfig, "far")],
+    "viewpoints": [(OracleConfig, "viewpoints")],
+    "seed": [(SceneGenConfig, "seed"), (TrainConfig, "seed")],
+    "epochs": [(TrainConfig, "epochs")],
+    "batch": [(TrainConfig, "batch_size")],
+    "lr": [(TrainConfig, "lr")],
+    "alpha": [(TrainConfig, "alpha")],
+    "lam": [(TrainConfig, "lam")],
+    "tau": [(TrainConfig, "tau")],
+}
+
+
+def _run_config_defaults() -> dict:
+    """RunConfig field -> the source text of its default."""
+    tree = ast.parse(inspect.getsource(RunConfig))
+    return {node.target.id: ast.unparse(node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.AnnAssign) and node.value is not None}
+
+
+class TestRunConfigTable:
+    def test_every_field_is_read_by_some_command(self):
+        read = {name for _, names in cli._OPTIONS.values() for name in names}
+        assert {f.name for f in fields(RunConfig)} - {"command"} == read
+
+    @pytest.mark.parametrize("name", sorted(MIRRORS))
+    def test_default_is_the_library_default(self, name):
+        for cls, attr in MIRRORS[name]:
+            assert getattr(RunConfig, name) == getattr(cls, attr)
+        cls, attr = MIRRORS[name][0]
+        assert _run_config_defaults()[name] == f"{cls.__name__}.{attr}"
+
+    def test_builders_take_the_library_defaults(self):
+        cfg = RunConfig(command="train")
+        assert cfg.train_config() == TrainConfig()
+        assert cfg.scene_config() == SceneGenConfig()
+        assert OracleConfig(viewpoints=cfg.viewpoints) == OracleConfig()
+
+    @pytest.mark.parametrize("command", sorted(cli._OPTIONS))
+    def test_flags_parse_to_the_default_type(self, command):
+        samples = {int: "16", float: "1", str: "x"}
+        for name in cli._OPTIONS[command][1]:
+            default = getattr(RunConfig, name)
+            flag = "--lambda" if name == "lam" else "--" + name.replace("_", "-")
+            value = getattr(parse_run_config([command, flag, samples[type(
+                default[0] if isinstance(default, tuple) else default)]]), name)
+            assert type(value) is type(default)
+            if isinstance(default, tuple):
+                assert len(value) == 3 and all(type(v) is type(default[0]) for v in value)
+
+    def test_triples(self):
+        assert parse_run_config(["gt", "--dims", "16"]).dims == (16, 16, 16)
+        center = parse_run_config(["gt", "--cell-center", "1,2,3"]).cell_center
+        assert center == (1.0, 2.0, 3.0) and all(type(c) is float for c in center)
+        with pytest.raises(cli.UsageError):
+            parse_run_config(["gt", "--dims", "16,16"])
+        with pytest.raises(cli.UsageError):
+            parse_run_config(["train", "--epochs", "1.5"])
+
+
+@pytest.mark.parametrize("flag, value", [("--d", "0"), ("--lr", "nan"), ("--lr", "inf"),
+                                         ("--epochs", "-1")])
+def test_bad_train_value_is_named(flag, value, tmp_path, capsys):
+    rc = main(["train", flag, value, "--manifest", str(tmp_path / "missing.txt"),
+               "--out", str(tmp_path / "net.fpvw")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION and value in err[err.index("got"):]
+    assert "Traceback" not in err
 
 
 def test_train_prints_json_lines(tmp_path, capsys):

@@ -8,6 +8,7 @@ from froxelpvs.core import TriScene, build_viewcell_frustum
 from froxelpvs.evalrt import (MetricsRecord, cull, froxel_metrics, pixel_error_rate,
                               read_metrics_csv, write_metrics_csv)
 from froxelpvs.froxel import FroxelGrid, FroxelIdMap, _fragment_stream, froxel_id_map
+from froxelpvs.oracle import OracleConfig, render_depth, sample_viewpoints
 from froxelpvs.scenegen import SceneGenConfig, generate_scene
 
 from conftest import PERSPECTIVE, default_cell, quad_at
@@ -149,6 +150,43 @@ def test_pixel_error_rate_counts_culled_coverage(pids):
     everything = FroxelGrid.from_dense(np.ones(dims, dtype=bool))
     assert pixel_error_rate(scene, camera, FroxelGrid(dims), mapping, (32, 32)) == 1.0
     assert pixel_error_rate(scene, camera, everything, mapping, (32, 32)) == 0.0
+
+
+def two_render_per(scene, camera, pvs, id_map, resolution):
+    """PER by its definition: render with and without the culled
+    primitives and count the pixels whose coverage or id differ."""
+    kept = cull(scene, pvs, id_map)
+    full = render_depth(scene, camera, resolution)
+    culled = render_depth(scene.subset(kept), camera, resolution)
+    coverage_differs = np.isfinite(full.depth) != np.isfinite(culled.depth)
+    return float((coverage_differs | (full.prim != culled.prim)).mean())
+
+
+@pytest.mark.parametrize("wall", [True, False])
+@pytest.mark.parametrize("shared_ids", [False, True])
+@pytest.mark.parametrize("seed", [1, 3, 4, 5])
+def test_pixel_error_rate_equals_two_renders(seed, shared_ids, wall):
+    """One render gives the two-render rate bit for bit, on generated
+    scenes whose ids are per triangle or negative and shared by three
+    triangles (-1 among them), for PVS fills from empty to full. Without
+    the back wall, part of each view is background."""
+    scene, cell = generate_scene(SceneGenConfig(seed=seed, wall=wall))
+    if shared_ids:
+        pids = -1 - np.arange(len(scene)) // 3
+        scene = TriScene(scene.vertices, scene.triangles, primitive_ids=pids)
+    dims = (16, 16, 16)
+    id_map = froxel_id_map(scene, build_viewcell_frustum(cell), dims)
+    fill = np.random.default_rng(seed).random(dims)
+    rates = []
+    for camera in sample_viewpoints(cell, OracleConfig(viewpoints=3)):
+        covered = np.isfinite(render_depth(scene, camera, (64, 48)).depth)
+        assert covered.all() == wall
+        for frac in (0.0, 0.002, 0.01, 0.05, 1.0):
+            pvs = FroxelGrid.from_dense(fill < frac)
+            got = pixel_error_rate(scene, camera, pvs, id_map, (64, 48))
+            assert got == two_render_per(scene, camera, pvs, id_map, (64, 48))
+            rates.append(got)
+    assert any(0.0 < r < 1.0 for r in rates)
 
 
 def test_froxel_metrics_counts(rng):

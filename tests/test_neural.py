@@ -106,6 +106,14 @@ class TestPredictPvs:
         steps = deinterleave(ChannelTensor(x[0], 4), 4, threshold=0.5)
         assert steps.bits.tobytes() == predict_pvs(grid, net).bits.tobytes()
 
+    @pytest.mark.parametrize("tau", [-0.1, 1.5, float("nan")])
+    def test_rejects_tau_outside_unit_interval(self, tau):
+        """Training rejects these thresholds, so inference does too, rather
+        than ship an empty or a full PVS."""
+        net = PvsNet(ModelConfig.default(2, hidden=4))
+        with pytest.raises(ValueError, match="tau"):
+            predict_pvs(FroxelGrid((8, 8, 8)), net, tau)
+
 
 def _he_net(d, kernels, seed, hidden=6):
     """He-init net with the given kernel sizes and random nonzero biases."""
@@ -403,6 +411,12 @@ class TestCheckpointFile:
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(ValueError, match="truncated"):
             PvsNet.load(path)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_train_config_rejects_nonpositive_or_nonfinite_lr(lr):
+    with pytest.raises(ValueError, match="learning rate"):
+        TrainConfig(lr=lr)
 
 
 class TestTraining:
