@@ -7,8 +7,9 @@ Rasterization works on flat (triangle, sample) candidate pairs so the hot
 path stays inside numpy; the same traversal backs occupancy grids, the
 froxel-to-primitive map, and the oracle's depth buffers. The pairs come in
 chunks of at most ``_MAX_PAIRS`` candidates, cut between raster rows, so a
-chunk's temporaries stay in the L2 cache and peak memory does not grow with
-the grid resolution or the size of a triangle.
+chunk's temporaries stay in the L2 cache whatever the grid resolution or the
+size of a triangle; only the per-row set-up grows with the number of raster
+rows (see :func:`iter_raster_chunks`).
 """
 
 from __future__ import annotations
@@ -249,8 +250,12 @@ def iter_raster_chunks(tris2d: np.ndarray, width: int, height: int,
     budget is a chunk of its own. A chunk's temporaries, with those of its
     consumer, are about twenty arrays of at most ``max_pairs`` elements: the
     default of 2^14 (128 KiB per 8-byte array) keeps them near the size of a
-    2 MiB per-core L2 cache, and peak memory stays bounded at any resolution
-    and triangle size.
+    2 MiB per-core L2 cache at any resolution and triangle size. The
+    per-row set-up is not bounded: about a dozen arrays with one entry per
+    raster row of every triangle live until the last chunk, so they grow
+    with the raster's height and the triangles' heights. On the generated
+    scene ``SceneGenConfig(seed=frame_seed(0, 0))``, 1324 triangles, they
+    hold 1.81 / 2.61 / 4.23 MB at 64^3 / 128^3 / 256^3 froxel grids.
     """
     tris2d = np.asarray(tris2d, dtype=np.float64)
     if len(tris2d) == 0:
@@ -444,8 +449,9 @@ def froxel_id_map(scene: TriScene, frustum: Camera, dims) -> FroxelIdMap:
     Shares the fragment traversal with :func:`froxelize`, so the key set
     matches the froxelized occupancy bit-exactly. Each (froxel, primitive)
     fragment becomes one scalar key ``flat * span + (pid - min_pid)``; one
-    ``np.unique`` deduplicates them and sorts them by froxel into the rows
-    of a :class:`FroxelIdMap`, which builds no Python set until one is read.
+    sort, keeping each key that differs from its predecessor, deduplicates
+    them and orders them by froxel into the rows of a :class:`FroxelIdMap`,
+    which builds no Python set until one is read.
     """
     dims = nx, ny, nz = tuple(int(d) for d in dims)
     pids = scene.primitive_ids
@@ -458,6 +464,7 @@ def froxel_id_map(scene: TriScene, frustum: Camera, dims) -> FroxelIdMap:
         key = flat * span + (pids[src] - lo)
         # raster order puts a triangle's samples in one froxel next to each other
         keys.append(key[np.flatnonzero(np.diff(key, prepend=-1))])
-    flat, pid = np.divmod(np.unique(np.concatenate(keys)), span)
+    keys = np.sort(np.concatenate(keys))
+    flat, pid = np.divmod(keys[np.flatnonzero(np.diff(keys, prepend=-1))], span)
     first = np.flatnonzero(np.diff(flat, prepend=-1))
     return FroxelIdMap(dims, flat[first], np.append(first, len(flat)), pid + lo)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .froxel import FroxelGrid
 from .interleave import ChannelTensor, deinterleave, interleave
@@ -201,7 +200,11 @@ class Conv3d:
         dense (B, D, H, W, C_in) tensor, run through the full grid's table
         with its rows offset per batch item, and the result is 5D.
         Without a cache the layer runs in float32; with one it runs in
-        float64 and keeps what :meth:`backward` needs.
+        float64 and keeps what :meth:`backward` needs: the float64 input
+        rows, the table, the output ``y`` and the input's shape. The
+        pre-activation is not kept: ReLU's mask ``y > 0`` equals ``z > 0``
+        because ``y = max(z, 0)``, sigmoid's derivative reads ``y``, and
+        with no activation ``y`` is ``z``.
         """
         k, cin, cout = self.spec.kernel, self.spec.in_channels, self.spec.out_channels
         if rules is None:
@@ -226,7 +229,7 @@ class Conv3d:
         out = y.reshape(*x.shape[:-1], cout) if x.ndim == 5 else y
         if not keep_cache:
             return out
-        return out, (rows, rules, z, y, x.shape)
+        return out, (rows, rules, y, x.shape)
 
     def _activate(self, z: np.ndarray) -> np.ndarray:
         act = self.spec.activation
@@ -246,12 +249,12 @@ class Conv3d:
         """
         if cache is None:
             raise ValueError("backward requires the forward cache")
-        rows, rules, z, y, xshape = cache
+        rows, rules, y, xshape = cache
         k, cin, cout = self.spec.kernel, self.spec.in_channels, self.spec.out_channels
         dy = dy.reshape(-1, cout)
         act = self.spec.activation
         if act == "relu":
-            dz = dy * (z > 0)
+            dz = dy * (y > 0)
         elif act == "sigmoid":
             dz = dy * y * (1.0 - y)
         else:
@@ -285,11 +288,24 @@ class PvsNet:
             self.layers[-1].b[:] = -self.OUTPUT_GAIN / 2.0
 
     def forward_cached(self, x: np.ndarray):
-        caches = []
+        """Float64 output on a dense (B, D, H, W, C) batch, plus the
+        per-layer caches :meth:`backward` reads.
+
+        The batch's neighbour table is built once per kernel size and shared
+        by every layer and cache; layers pass C-order rows, and the output
+        takes its 5D shape at the end.
+        """
+        if x.ndim != 5:
+            raise ValueError(f"expected a (B, D, H, W, C) batch, got {x.shape}")
+        tables = {}
+        rows, caches = x.reshape(-1, x.shape[4]), []
         for layer in self.layers:
-            x, cache = layer.forward(x, keep_cache=True)
+            k = layer.spec.kernel
+            if k not in tables:
+                tables[k] = _dense_rules(x.shape, k)
+            rows, cache = layer.forward(rows, keep_cache=True, rules=tables[k])
             caches.append(cache)
-        return x, caches
+        return rows.reshape(*x.shape[:4], -1), caches
 
     def backward(self, dy: np.ndarray, caches):
         """Per-layer (dw, db) gradients. The network's input gradient is
@@ -433,10 +449,11 @@ def load_pairs(manifest_path) -> list:
 
 
 def _tensor_pairs(pairs, d: int):
+    """Stacked interleaved (geometry, gt) tensors, kept as bool."""
     xs, ys = [], []
     for geo, gt in pairs:
-        xs.append(interleave(geo.to_dense().astype(np.float64), d).values)
-        ys.append(interleave(gt.to_dense().astype(np.float64), d).values)
+        xs.append(interleave(geo.to_dense(), d).values)
+        ys.append(interleave(gt.to_dense(), d).values)
     return np.stack(xs), np.stack(ys)
 
 
@@ -446,9 +463,9 @@ def _shipped(p: np.ndarray, x: np.ndarray, tau: float) -> np.ndarray:
     return (p >= tau) & (x > 0.5)
 
 
-def _hard_counts(p, x, y, tau) -> np.ndarray:
-    """FN, FP and GTP of the shipped PVS against the ground truth ``y``."""
-    bits = _shipped(p, x, tau)
+def _hard_counts(bits, y) -> np.ndarray:
+    """FN, FP and GTP of the shipped PVS ``bits`` against the ground truth
+    ``y``."""
     gt = y > 0.5
     return np.array([np.count_nonzero(gt & ~bits), np.count_nonzero(bits & ~gt),
                      np.count_nonzero(gt)])
@@ -461,10 +478,36 @@ def _rates(counts):
 
 
 def evaluate_pairs(net: PvsNet, x: np.ndarray, y: np.ndarray, tau: float):
-    """Hard FNR/FPR over a stacked pair set of the predictions that
-    :func:`predict_pvs` ships: thresholded and masked by geometry."""
-    return _rates(sum(_hard_counts(_sparse_output(net, x[i]), x[i], y[i], tau)
+    """Hard FNR/FPR over a stacked set of bool (geometry, gt) tensors, of
+    the predictions that :func:`predict_pvs` ships: thresholded and masked
+    by geometry."""
+    return _rates(sum(_hard_counts(_shipped_cells(net, x[i], tau), y[i])
                       for i in range(len(x))))
+
+
+def _train_step(net: PvsNet, bx: np.ndarray, by: np.ndarray, tcfg: TrainConfig,
+                index: int):
+    """Forward, loss, backward and update on one bool batch; returns the
+    mean loss and the hard counts of the shipped PVS.
+
+    The batch's float64 activations, caches and gradients are local, so they
+    die when the step returns and the next step starts from the weights
+    alone. Raises :class:`TrainingDiverged` with ``index`` before updating
+    on a non-finite loss.
+    """
+    pred, caches = net.forward_cached(bx)
+    grad = np.empty_like(pred)
+    loss = 0.0
+    for b in range(len(bx)):
+        lv, lg = combined_loss(pred[b], by[b], tcfg)
+        loss += lv
+        grad[b] = lg
+    loss /= len(bx)
+    grad /= len(bx)
+    if not np.isfinite(loss):
+        raise TrainingDiverged(index, loss)
+    net.sgd_step(net.backward(grad, caches), tcfg.lr)
+    return loss, _hard_counts(_shipped(pred, bx, tcfg.tau), by)
 
 
 def train(pairs, mcfg: ModelConfig, tcfg: TrainConfig, eval_pairs=None,
@@ -478,6 +521,11 @@ def train(pairs, mcfg: ModelConfig, tcfg: TrainConfig, eval_pairs=None,
     PVS that :func:`predict_pvs` ships: masked by geometry, as the held-out
     rates are when ``eval_pairs`` is given. Deterministic for a fixed seed.
     With ``verbose`` each epoch's dict goes to stdout as one JSON line.
+
+    The frames stay bool between steps. Each batch runs in one
+    :func:`_train_step` call, whose float64 activations, caches and
+    gradients are freed before the next batch starts, so the peak holds
+    one step's arrays, not two.
     """
     x, y = _tensor_pairs(pairs, mcfg.d)
     ev = _tensor_pairs(eval_pairs, mcfg.d) if eval_pairs else None
@@ -491,22 +539,10 @@ def train(pairs, mcfg: ModelConfig, tcfg: TrainConfig, eval_pairs=None,
         counts = np.zeros(3, dtype=np.int64)
         for start in range(0, n, tcfg.batch_size):
             batch = order[start:start + tcfg.batch_size]
-            bx, by = x[batch], y[batch]
-            pred, caches = net.forward_cached(bx)
-            grad = np.empty_like(pred)
-            loss = 0.0
-            for b in range(len(batch)):
-                lv, lg = combined_loss(pred[b], by[b], tcfg)
-                loss += lv
-                grad[b] = lg
-            loss /= len(batch)
-            grad /= len(batch)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(start // tcfg.batch_size, loss)
-            grads = net.backward(grad, caches)
-            net.sgd_step(grads, tcfg.lr)
+            loss, batch_counts = _train_step(net, x[batch], y[batch], tcfg,
+                                             start // tcfg.batch_size)
             epoch_loss += loss * len(batch)
-            counts += _hard_counts(pred, bx, by, tcfg.tau)
+            counts += batch_counts
         fnr, fpr = _rates(counts)
         entry = {"epoch": epoch, "loss": epoch_loss / max(n, 1), "fnr": fnr, "fpr": fpr}
         if ev is not None:
@@ -527,11 +563,15 @@ def train(pairs, mcfg: ModelConfig, tcfg: TrainConfig, eval_pairs=None,
 
 
 def dilate(cells: np.ndarray, r: int) -> np.ndarray:
-    """Cells of a 3D mask within Chebyshev distance ``r`` of a set cell."""
+    """Cells of a 3D mask within Chebyshev distance ``r`` of a set cell:
+    per axis, the OR of the mask shifted by up to ``r`` cells each way."""
     for axis in range(3):
-        width = [(0, 0)] * 3
-        width[axis] = (r, r)
-        cells = sliding_window_view(np.pad(cells, width), 2 * r + 1, axis=axis).any(axis=-1)
+        src = np.moveaxis(cells, axis, 0)
+        grown = src.copy()
+        for s in range(1, r + 1):
+            grown[s:] |= src[:-s]
+            grown[:-s] |= src[s:]
+        cells = np.moveaxis(grown, 0, axis)
     return cells
 
 
@@ -564,24 +604,28 @@ def _dense_rules(shape, k: int) -> np.ndarray:
     return np.where(rules[:, None] >= 0, rules[:, None] + start, -1).reshape(k ** 3, -1)
 
 
-def _sparse_output(net: PvsNet, x: np.ndarray) -> np.ndarray:
-    """The network's float32 output on one interleaved (D, H, W, C)
-    geometry tensor ``x`` at the cells holding a set froxel, and 0 elsewhere.
+def _shipped_cells(net: PvsNet, x: np.ndarray, tau: float) -> np.ndarray:
+    """The PVS that :func:`predict_pvs` ships, as a bool (D, H, W, C) cell
+    tensor, on one interleaved bool geometry tensor ``x``.
 
-    The last layer runs only at those cells, and each earlier layer only at
-    the cells its successor's kernel reaches from there.
+    The network's float32 output is needed only at the cells holding a set
+    froxel, so the last layer runs only there, and each earlier layer only
+    at the cells its successor's kernel reaches from there. Only those
+    cells' rows are cast to float; the thresholded, geometry-masked rows
+    are written straight into the bool result.
     """
     occupied = x.any(axis=3)
     computed = [occupied]
     for spec in reversed(net.cfg.layers[1:]):
         computed.insert(0, dilate(computed[0], spec.kernel // 2))
-    feats, read = x[occupied], occupied
+    geo = x[occupied]
+    feats, read = geo.astype(np.float32), occupied
     for layer, cells in zip(net.layers, computed):
         feats = layer.forward(feats, rules=conv_rules(cells, read, layer.spec.kernel))
         read = cells
-    p = np.zeros(x.shape, dtype=np.float32)
-    p[occupied] = feats
-    return p
+    bits = np.zeros(x.shape, dtype=bool)
+    bits[occupied] = _shipped(feats, geo, tau)
+    return bits
 
 
 def predict_pvs(grid: FroxelGrid, net: PvsNet, tau: float = TrainConfig.tau) -> FroxelGrid:
@@ -595,14 +639,19 @@ def predict_pvs(grid: FroxelGrid, net: PvsNet, tau: float = TrainConfig.tau) -> 
     nothing: ``cull`` reads PVS bits only at the froxel id map's keys, which
     are the geometry grid's set froxels. So only the cells that can reach a
     set froxel need computing.
+
+    The working set is bool apart from the computed cells: the dense grid,
+    its interleaved cells and the shipped cells are one byte per froxel,
+    and only the rows of computed cells, with their neighbour tables, are
+    float32 or integer arrays.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
     d = net.cfg.d
     if any(dim % d for dim in grid.dims):
         raise ValueError(f"grid dims {grid.dims} not divisible by interleave factor {d}")
-    x = interleave(grid.to_dense(), d).values.astype(np.float32)
+    x = interleave(grid.to_dense(), d).values
     if x.shape[3] != net.cfg.layers[0].in_channels:
         raise ValueError("grid/channel mismatch against the checkpoint")
-    bits = _shipped(_sparse_output(net, x), x, tau)
+    bits = _shipped_cells(net, x, tau)
     return FroxelGrid.from_dense(deinterleave(ChannelTensor(bits, d)), role="predicted_pvs")

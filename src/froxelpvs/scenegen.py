@@ -8,6 +8,7 @@ with a random yaw.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -253,11 +254,19 @@ _FACTORIES = {
 }
 
 
+@functools.cache
 def primitive_mesh(kind: str):
-    """Raw (vertices, triangles) arrays for one shape class."""
+    """Raw (vertices, triangles) arrays for one shape class.
+
+    Each kind is built once per process, on first use; every caller shares
+    the arrays, so they are read-only.
+    """
     if kind not in _FACTORIES:
         raise ValueError(f"unknown primitive kind {kind!r}; expected one of {PRIMITIVE_KINDS}")
-    return _FACTORIES[kind]()
+    mesh = _FACTORIES[kind]()
+    for arr in mesh:
+        arr.setflags(write=False)
+    return mesh
 
 
 # ---------------------------------------------------------------------------

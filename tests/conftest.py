@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,22 @@ def quad_at(z: float, half_w: float, half_h: float, cy: float = 0.0):
                       [half_w, cy + half_h, z], [-half_w, cy + half_h, z]])
     tris = np.array([[0, 1, 2], [0, 2, 3]])
     return verts, tris
+
+
+def peak_mb(fn) -> float:
+    """``tracemalloc`` peak, in MB, of one call to ``fn``.
+
+    Refuses to run inside an active trace: starting and stopping its own
+    would end the outer one and lose its peak.
+    """
+    if tracemalloc.is_tracing():
+        raise RuntimeError("peak_mb cannot nest inside an active tracemalloc trace")
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

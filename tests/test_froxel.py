@@ -10,7 +10,7 @@ from froxelpvs.core import (Camera, TriScene, Vec3, build_viewcell_frustum, dept
 from froxelpvs.froxel import (_DEGEN_EPS, _MAX_PAIRS, SUPERSAMPLE, FroxelGrid,
                               _fragment_stream, clip_triangles_halfspace, froxel_id_map, froxelize,
                               interp_affine, iter_raster_chunks, quantize, screen_triangles)
-from froxelpvs.scenegen import SceneGenConfig, generate_scene
+from froxelpvs.scenegen import SceneGenConfig, frame_seed, generate_scene
 
 from conftest import PERSPECTIVE, default_cell, quad_at
 
@@ -368,6 +368,27 @@ class TestIdMap:
         if mapping:
             from_map.set_many(np.array(sorted(mapping)))
         assert from_map == grid
+
+    def test_rows_equal_unique_reference(self):
+        """At 64^3 the same (froxel, primitive) key recurs in later chunks;
+        the map holds each once, sorted, as one ``np.unique`` over every
+        fragment's key gives it."""
+        scene, cell = generate_scene(SceneGenConfig(seed=frame_seed(0, 0)))
+        frustum = build_viewcell_frustum(cell)
+        dims = (64, 64, 64)
+        pids = scene.primitive_ids
+        lo, span = int(pids.min()), int(pids.max() - pids.min()) + 1
+        chunks = [np.unique(flat * span + pids[src] - lo)
+                  for flat, src in _fragment_stream(scene, frustum, dims)]
+        every = np.concatenate(chunks)
+        keys = np.unique(every)
+        assert len(keys) < len(every)       # keys repeat across chunks
+        flat, pid = np.divmod(keys, span)
+        cells, first = np.unique(flat, return_index=True)
+        mapping = froxel_id_map(scene, frustum, dims)
+        assert np.array_equal(mapping.cells, cells)
+        assert np.array_equal(mapping.starts, np.append(first, len(flat)))
+        assert np.array_equal(mapping.ids, pid + lo)
 
 
 # ---------------------------------------------------------------------------

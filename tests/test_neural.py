@@ -1,6 +1,7 @@
 """Convolution layers, inference precision, gradients, interleaving and
 checkpoint files."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,8 @@ from froxelpvs.interleave import ChannelTensor, deinterleave, interleave
 from froxelpvs.neural import ACTIVATIONS, Conv3d, ConvSpec, ModelConfig, PvsNet, \
     TrainConfig, _sigmoid, combined_loss, conv_rules, dice_loss, dilate, evaluate_pairs, \
     predict_pvs, rvl_loss, train
+
+from conftest import peak_mb
 
 BAND = 1e-5     # |p - tau| below this may flip between float32 and float64
 
@@ -182,7 +185,7 @@ class TestSparseInference:
                 want[j, r] = rows.get((x + a - p, y + b - p, z + c - p), -1)
         assert np.array_equal(rules, want)
 
-    @pytest.mark.parametrize("r", [0, 1, 2])
+    @pytest.mark.parametrize("r", [0, 1, 2, 4])
     def test_dilate_matches_neighbour_loop(self, r, rng):
         cells = rng.random((6, 4, 5)) < 0.1
         want = np.zeros_like(cells)
@@ -287,9 +290,52 @@ class TestConv3dGradients:
         g = rng.normal(0.0, 1.0, (int(out_cells.sum()), 3))
         _check_central_differences(layer, x, g, rules)
 
+    def test_relu_mask_from_output_equals_mask_from_preactivation(self, rng):
+        """The cache keeps y = max(z, 0), not z; y > 0 is z > 0 at every
+        value, signed zeros and NaN included."""
+        edges = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, np.nan]
+        x = np.concatenate([edges, rng.normal(0.0, 1.0, 40)])
+        layer = Conv3d(ConvSpec(1, 1, 1, "relu"))
+        layer.w[:] = 1.0
+        layer.b[:] = -0.0
+        z = -0.0 + x          # the layer's bias plus x @ w, in its order
+        assert np.signbit(z[1]) and not np.signbit(z[0])
+        y, cache = layer.forward(x.reshape(1, -1, 1, 1, 1), keep_cache=True)
+        assert np.array_equal(y.reshape(-1) > 0, z > 0)
+        dx, _, db = layer.backward(np.ones_like(y), cache)
+        assert np.array_equal(dx.reshape(-1), (z > 0) * 1.0)
+        assert db[0] == np.count_nonzero(z > 0)
+
     def test_backward_requires_cache(self):
         with pytest.raises(ValueError):
             _layer(3, 2, 2, "relu").backward(np.zeros((1, 2, 2, 2, 2)), None)
+
+
+class TestForwardCached:
+    def test_equals_5d_layer_chain_bitwise(self, rng):
+        """One neighbour table per kernel size and batch, shared by the
+        layers, gives the 5D per-layer chain's outputs and gradients bit
+        for bit."""
+        net = _he_net(2, (3, 1, 3), seed=11)
+        x = rng.random((2, 4, 3, 5, 8)) < 0.3
+        g = rng.normal(0.0, 1.0, (2, 4, 3, 5, 8))
+        got, caches = net.forward_cached(x)
+        want, chain = x.astype(np.float64), []
+        for layer in net.layers:
+            want, cache = layer.forward(want, keep_cache=True)
+            chain.append(cache)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert caches[0][1] is caches[2][1]
+        grads, dy = net.backward(g, caches), g
+        for i in reversed(range(len(net.layers))):
+            dy, dw, db = net.layers[i].backward(dy, chain[i], need_dx=i > 0)
+            assert dw.tobytes() == grads[i][0].tobytes()
+            assert db.tobytes() == grads[i][1].tobytes()
+
+    def test_rejects_rows(self):
+        net = _he_net(2, (3,), seed=1)
+        with pytest.raises(ValueError):
+            net.forward_cached(np.zeros((8, 8)))
 
 
 _LOSSES = {
@@ -437,6 +483,30 @@ class TestTraining:
             assert np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
         net_c, _ = train(pairs, mcfg, TrainConfig(epochs=3, batch_size=2, lr=1e-2, seed=6))
         assert not np.array_equal(net_a.layers[0].w, net_c.layers[0].w)
+
+    def test_peak_memory_holds_one_step(self, rng):
+        """A step's activations, caches and gradients die before the next
+        step starts: four batches peak no higher than one."""
+        pairs = []
+        for _ in range(4):
+            geo = rng.random((16, 16, 16)) < 0.3
+            gt = geo & (rng.random(geo.shape) < 0.5)
+            pairs.append((FroxelGrid.from_dense(geo),
+                          FroxelGrid.from_dense(gt, role="gt_pvs")))
+        mcfg = ModelConfig.default(2, hidden=16)
+        tcfg = TrainConfig(epochs=1, batch_size=1)
+        one = peak_mb(lambda: train(pairs[:1], mcfg, tcfg))
+        four = peak_mb(lambda: train(pairs, mcfg, tcfg))
+        assert four <= 1.1 * one
+
+    def test_peak_mb_refuses_to_nest(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="nest"):
+                peak_mb(lambda: None)
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
 
     def test_validation_rates_are_masked_by_geometry(self, rng):
         """A net that marks every froxel misses nothing, and its false
