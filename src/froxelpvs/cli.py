@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .core import Vec3, ViewCell, build_viewcell_frustum, load_scene
-from .froxel import FroxelGrid, froxel_id_map, froxelize
+from .froxel import FroxelGrid, froxel_id_map
 from .neural import ModelConfig, PvsNet, TrainConfig, TrainingDiverged, load_pairs, \
     predict_pvs, train
-from .oracle import OracleConfig, compute_gt_pvs
-from .scenegen import DatasetError, SceneGenConfig, generate_dataset
+from .oracle import OracleConfig
+from .scenegen import SceneGenConfig, frame_grids, generate_dataset
 from .evalrt import froxel_metrics, pixel_error_rate, write_metrics_csv
 
 EXIT_OK = 0
@@ -239,14 +239,8 @@ def cmd_gen_dataset(cfg: RunConfig) -> int:
 
 def cmd_gt(cfg: RunConfig) -> int:
     _require(cfg, "scene", "out")
-    scene = load_scene(cfg.scene)
-    cell = cfg.viewcell()
-    gt = compute_gt_pvs(scene, cell, cfg.dims,
-                        OracleConfig(viewpoints=cfg.viewpoints))
-    geometry = froxelize(scene, build_viewcell_frustum(cell), cfg.dims) | gt
-    if not gt.subset_of(geometry):
-        print("validation failed: ground truth escapes the geometry grid", file=sys.stderr)
-        return EXIT_VALIDATION
+    geometry, gt = frame_grids(load_scene(cfg.scene), cfg.viewcell(), cfg.dims,
+                               OracleConfig(viewpoints=cfg.viewpoints))
     gt.save(cfg.out)
     if cfg.geometry_out:
         geometry.save(cfg.geometry_out)
@@ -326,7 +320,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, DatasetError, TrainingDiverged) as exc:
+    except (ValueError, TrainingDiverged) as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -35,22 +35,18 @@ class MetricsRecord:
     gtp_zero: bool = False
 
 
-def _popcount(bits: np.ndarray) -> int:
-    return int(np.bitwise_count(bits).sum())
-
-
 def froxel_metrics(pred: FroxelGrid, gt: FroxelGrid, frame: int = 0,
                    per: float = 0.0) -> MetricsRecord:
-    """Exact popcount-based confusion counts and FNR/FPR rates.
+    """Exact confusion counts and FNR/FPR rates: tp = |pred & gt|,
+    fp = |pred| - tp, fn = |gt| - tp. Grids of other dims raise
+    ``ValueError``.
 
     An empty ground truth reports zero rates with the ``gtp_zero`` flag set.
     """
-    if pred.dims != gt.dims:
-        raise ValueError(f"grid dims mismatch: {pred.dims} vs {gt.dims}")
-    tp = _popcount(pred.bits & gt.bits)
-    fp = _popcount(pred.bits & ~gt.bits)
-    fn = _popcount(~pred.bits & gt.bits)
-    gtp = _popcount(gt.bits)
+    tp = (pred & gt).occupied_count()
+    fp = pred.occupied_count() - tp
+    gtp = gt.occupied_count()
+    fn = gtp - tp
     if gtp == 0:
         return MetricsRecord(frame, 0.0, 0.0, per, tp, fp, fn, gtp, gtp_zero=True)
     return MetricsRecord(frame, fn / gtp, fp / gtp, per, tp, fp, fn, gtp)
@@ -59,15 +55,13 @@ def froxel_metrics(pred: FroxelGrid, gt: FroxelGrid, frame: int = 0,
 def cull(scene: TriScene, pvs: FroxelGrid, id_map: FroxelIdMap) -> set:
     """Primitive ids that appear in at least one PVS-marked froxel.
 
-    Reads the PVS bit of each map row at once: with N_x a multiple of 8, flat
-    froxel index f sits in byte ``f >> 3``, bit ``f & 7``. The marked rows'
-    ids are then deduplicated in one ``np.unique``. A map built for other
-    dims than the PVS raises ``IndexError``.
+    Reads the PVS bit of each map row at once, then deduplicates the marked
+    rows' ids in one ``np.unique``. A map built for other dims than the PVS
+    raises ``IndexError``.
     """
     if id_map.dims != pvs.dims:
         raise IndexError(f"id map dims {id_map.dims} do not match PVS dims {pvs.dims}")
-    cells = id_map.cells
-    marked = ((pvs.bits[cells >> 3] >> (cells & 7).astype(np.uint8)) & 1).astype(bool)
+    marked = pvs.at(id_map.cells)
     return set(np.unique(id_map.ids[np.repeat(marked, np.diff(id_map.starts))]).tolist())
 
 

@@ -7,9 +7,10 @@ Rasterization works on flat (triangle, sample) candidate pairs so the hot
 path stays inside numpy; the same traversal backs occupancy grids, the
 froxel-to-primitive map, and the oracle's depth buffers. The pairs come in
 chunks of at most ``_MAX_PAIRS`` candidates, cut between raster rows, so a
-chunk's temporaries stay in the L2 cache whatever the grid resolution or the
+chunk's temporaries stay about 2.8 MiB whatever the grid resolution or the
 size of a triangle; only the per-row set-up grows with the number of raster
-rows (see :func:`iter_raster_chunks`).
+rows (see :func:`iter_raster_chunks`). Only :class:`FroxelGrid` reads or
+writes packed bits, and only :func:`grid_dims` checks dims.
 """
 
 from __future__ import annotations
@@ -33,6 +34,17 @@ _SPAN_ULPS = 16      # bound on the inside test's rounding, in eps of its operan
 SUPERSAMPLE = 4      # raster samples per froxel along x and along y
 
 
+def grid_dims(dims) -> tuple:
+    """``dims`` as a tuple of three ints, checked: every axis positive and
+    N_x a multiple of 8, so each grid row packs into whole bytes."""
+    nx, ny, nz = (int(d) for d in dims)
+    if nx <= 0 or ny <= 0 or nz <= 0:
+        raise ValueError("grid dims must be positive")
+    if nx % 8 != 0:
+        raise ValueError(f"N_x must be divisible by 8, got {nx}")
+    return nx, ny, nz
+
+
 def quantize(uvw, dims):
     """Map NDC coordinates in [0,1]^3 to froxel indices.
 
@@ -54,14 +66,9 @@ class FroxelGrid:
     """Binary occupancy over an N_x x N_y x N_z frustum-aligned grid."""
 
     def __init__(self, dims, role: str = "geometry", bits=None):
-        nx, ny, nz = (int(d) for d in dims)
-        if nx <= 0 or ny <= 0 or nz <= 0:
-            raise ValueError("grid dims must be positive")
-        if nx % 8 != 0:
-            raise ValueError(f"N_x must be divisible by 8, got {nx}")
+        self.dims = nx, ny, nz = grid_dims(dims)
         if role not in ROLE_TAGS:
             raise ValueError(f"unknown role {role!r}")
-        self.dims = (nx, ny, nz)
         self.role = role
         nbytes = (nx // 8) * ny * nz
         if bits is None:
@@ -72,39 +79,46 @@ class FroxelGrid:
                 raise ValueError("bit buffer size does not match dims")
 
     # -- indexing ----------------------------------------------------------
-    @property
-    def row_bytes(self) -> int:
-        return self.dims[0] // 8
-
     def _check(self, x, y, z):
         nx, ny, nz = self.dims
         if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
             raise IndexError(f"froxel coordinate {(x, y, z)} out of range for dims {self.dims}")
 
+    def _locate(self, x, y, z):
+        """Byte and bit of froxel (x, y, z), on ints or arrays; (f, 0, 0) locates
+        flat index f. With N_x a multiple of 8, f sits in byte f >> 3, bit f & 7."""
+        flat = x + self.dims[0] * (y + self.dims[1] * z)
+        return flat >> 3, flat & 7
+
     def set(self, x: int, y: int, z: int):
         self._check(x, y, z)
-        byte = (x >> 3) + self.row_bytes * (y + self.dims[1] * z)
-        self.bits[byte] |= np.uint8(1 << (x & 7))
+        byte, bit = self._locate(x, y, z)
+        self.bits[byte] |= np.uint8(1 << bit)
 
     def get(self, x: int, y: int, z: int) -> int:
         self._check(x, y, z)
-        byte = (x >> 3) + self.row_bytes * (y + self.dims[1] * z)
-        return int(self.bits[byte] >> (x & 7)) & 1
+        byte, bit = self._locate(x, y, z)
+        return int(self.bits[byte] >> bit) & 1
 
     def set_many(self, coords):
         """Set a batch of (N, 3) integer froxel coordinates."""
         coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
         if (coords < 0).any() or (coords >= np.array(self.dims)).any():
             raise IndexError("froxel coordinate out of range")
-        x, y, z = coords.T
-        byte = (x >> 3) + self.row_bytes * (y + self.dims[1] * z)
-        np.bitwise_or.at(self.bits, byte, (1 << (x & 7)).astype(np.uint8))
+        byte, bit = self._locate(*coords.T)
+        np.bitwise_or.at(self.bits, byte, (1 << bit).astype(np.uint8))
+
+    def at(self, cells) -> np.ndarray:
+        """Bool occupancy of each flat froxel index x + N_x * (y + N_y * z)
+        in the integer array ``cells``."""
+        byte, bit = self._locate(np.asarray(cells), 0, 0)
+        return ((self.bits[byte] >> bit.astype(np.uint8)) & 1).astype(bool)
 
     # -- views and counts ---------------------------------------------------
     def to_dense(self) -> np.ndarray:
         """Boolean array of shape (N_x, N_y, N_z)."""
         nx, ny, nz = self.dims
-        packed = self.bits.reshape(nz, ny, self.row_bytes)
+        packed = self.bits.reshape(nz, ny, nx // 8)
         dense = np.unpackbits(packed, axis=2, bitorder="little").astype(bool)
         return np.ascontiguousarray(dense.transpose(2, 1, 0))
 
@@ -113,10 +127,16 @@ class FroxelGrid:
         dense = np.asarray(dense).astype(bool)
         if dense.ndim != 3:
             raise ValueError("dense occupancy must be 3-dimensional")
-        grid = cls(dense.shape, role=role)
-        packed = np.packbits(dense.transpose(2, 1, 0), axis=2, bitorder="little")
-        grid.bits = np.ascontiguousarray(packed.reshape(-1))
-        return grid
+        return cls.from_flat(dense.shape, dense.transpose(2, 1, 0).reshape(-1), role)
+
+    @classmethod
+    def from_flat(cls, dims, occupied, role: str) -> "FroxelGrid":
+        """Grid from a bool per flat froxel index x + N_x * (y + N_y * z)."""
+        nx, ny, nz = dims = grid_dims(dims)
+        occupied = np.asarray(occupied, dtype=bool)
+        if occupied.shape != (nx * ny * nz,):
+            raise ValueError(f"{occupied.shape} occupancy does not match dims {dims}")
+        return cls(dims, role, np.packbits(occupied, bitorder="little"))
 
     def occupied_count(self) -> int:
         return int(np.bitwise_count(self.bits).sum())
@@ -248,9 +268,9 @@ def iter_raster_chunks(tris2d: np.ndarray, width: int, height: int,
     in that order, into chunks of at most ``max_pairs`` candidate samples,
     so a large triangle is split between rows, and a row longer than the
     budget is a chunk of its own. A chunk's temporaries, with those of its
-    consumer, are about twenty arrays of at most ``max_pairs`` elements: the
-    default of 2^14 (128 KiB per 8-byte array) keeps them near the size of a
-    2 MiB per-core L2 cache at any resolution and triangle size. The
+    consumer, are about twenty arrays of at most ``max_pairs`` elements: at
+    the default of 2^14 (128 KiB per 8-byte array) they hold about 2.8 MiB
+    at any resolution and triangle size, more than a 2 MiB L2 cache. The
     per-row set-up is not bounded: about a dozen arrays with one entry per
     raster row of every triangle live until the last chunk, so they grow
     with the raster's height and the triangles' heights. On the generated
@@ -365,9 +385,7 @@ def _fragment_stream(scene: TriScene, frustum: Camera, dims):
     :func:`quantize` of its center: ``(px + 0.5) / sx * nx`` lies at least
     1/8 from an integer. z is ``floor(w * N_z)``, clamped at w = 1.
     """
-    nx, ny, nz = dims = tuple(int(d) for d in dims)
-    if nx % 8 != 0:
-        raise ValueError(f"N_x must be divisible by 8, got {nx}")
+    nx, ny, nz = dims = grid_dims(dims)
     sx, sy = SUPERSAMPLE * nx, SUPERSAMPLE * ny
     tris2d, invz, src = screen_triangles(scene, frustum, sx, sy)
     wv = depth_to_w(frustum, 1.0 / invz)
@@ -390,13 +408,11 @@ def froxelize(scene: TriScene, frustum: Camera, dims) -> FroxelGrid:
     centers of a ``SUPERSAMPLE``-times finer image of the frustum, and each
     sample's depth ``w`` comes from :func:`~froxelpvs.core.depth_to_w`.
     """
-    grid = FroxelGrid(dims, role="geometry")
-    nx, ny, nz = grid.dims
+    nx, ny, nz = dims = grid_dims(dims)
     occupied = np.zeros(nx * ny * nz, dtype=bool)
-    for flat, _src in _fragment_stream(scene, frustum, grid.dims):
+    for flat, _src in _fragment_stream(scene, frustum, dims):
         occupied[flat] = True
-    grid.bits = np.packbits(occupied, bitorder="little")
-    return grid
+    return FroxelGrid.from_flat(dims, occupied, role="geometry")
 
 
 class FroxelIdMap(Mapping):
@@ -453,7 +469,7 @@ def froxel_id_map(scene: TriScene, frustum: Camera, dims) -> FroxelIdMap:
     them and orders them by froxel into the rows of a :class:`FroxelIdMap`,
     which builds no Python set until one is read.
     """
-    dims = nx, ny, nz = tuple(int(d) for d in dims)
+    dims = nx, ny, nz = grid_dims(dims)
     pids = scene.primitive_ids
     lo = int(pids.min()) if len(pids) else 0
     span = int(pids.max()) - lo + 1 if len(pids) else 1

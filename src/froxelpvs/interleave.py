@@ -38,18 +38,12 @@ class ChannelTensor:
         return self.values.shape[3]
 
 
-def _as_dense(grid) -> np.ndarray:
-    if isinstance(grid, FroxelGrid):
-        return grid.to_dense().astype(np.float64)
-    arr = np.asarray(grid)
-    if arr.ndim != 3:
-        raise ValueError("expected a FroxelGrid or a dense 3D array")
-    return arr
-
-
 def interleave(grid, d: int) -> ChannelTensor:
-    """Repack d x d x d froxel blocks into d^3-channel cells."""
-    dense = _as_dense(grid)
+    """Repack d x d x d froxel blocks into d^3-channel cells; the cells of
+    a :class:`~froxelpvs.froxel.FroxelGrid` are bool."""
+    dense = grid.to_dense() if isinstance(grid, FroxelGrid) else np.asarray(grid)
+    if dense.ndim != 3:
+        raise ValueError("expected a FroxelGrid or a dense 3D array")
     nx, ny, nz = dense.shape
     if d < 1 or nx % d or ny % d or nz % d:
         raise ValueError(f"interleave factor {d} must divide grid dims {(nx, ny, nz)}")

@@ -280,7 +280,8 @@ class PvsNet:
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator | None = None):
         self.cfg = cfg
-        self.layers = [Conv3d(spec, rng) for spec in cfg.layers]
+        # identity init draws its own weights below, so only "he" draws here
+        self.layers = [Conv3d(spec, rng if cfg.init == "he" else None) for spec in cfg.layers]
         if cfg.init == "identity" and rng is not None:
             for layer in self.layers[:-1]:
                 layer.seed_identity(rng, 1.0)
@@ -452,8 +453,8 @@ def _tensor_pairs(pairs, d: int):
     """Stacked interleaved (geometry, gt) tensors, kept as bool."""
     xs, ys = [], []
     for geo, gt in pairs:
-        xs.append(interleave(geo.to_dense(), d).values)
-        ys.append(interleave(gt.to_dense(), d).values)
+        xs.append(interleave(geo, d).values)
+        ys.append(interleave(gt, d).values)
     return np.stack(xs), np.stack(ys)
 
 
@@ -650,7 +651,7 @@ def predict_pvs(grid: FroxelGrid, net: PvsNet, tau: float = TrainConfig.tau) -> 
     d = net.cfg.d
     if any(dim % d for dim in grid.dims):
         raise ValueError(f"grid dims {grid.dims} not divisible by interleave factor {d}")
-    x = interleave(grid.to_dense(), d).values
+    x = interleave(grid, d).values
     if x.shape[3] != net.cfg.layers[0].in_channels:
         raise ValueError("grid/channel mismatch against the checkpoint")
     bits = _shipped_cells(net, x, tau)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Camera, TriScene, ViewCell, build_viewcell_frustum, reproject_fragments
-from .froxel import _MAX_PAIRS, FroxelGrid, interp_affine, iter_raster_chunks, quantize, \
-    screen_triangles
+from .froxel import _MAX_PAIRS, FroxelGrid, grid_dims, interp_affine, iter_raster_chunks, \
+    quantize, screen_triangles
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 DEPTH_SCALE = 4       # oracle depth-buffer pixels per froxel along x and y
@@ -137,20 +137,16 @@ def compute_gt_pvs(scene: TriScene, cell: ViewCell, dims, ocfg: OracleConfig,
     frustum and quantized in slices of at most ``_MAX_PAIRS``, so memory
     stays one depth buffer, the grid and a chunk's arrays at any resolution.
     The result need not lie inside ``froxelize``'s grid, because the two
-    sample the scene at different points; training pairs take
-    ``froxelize(...) | gt`` as geometry, which holds the
-    PVS-subset-of-geometry property bit-exactly.
+    sample the scene at different points.
     """
-    grid = FroxelGrid(dims, role="gt_pvs")
-    nx, ny, nz = grid.dims
+    nx, ny, nz = dims = grid_dims(dims)
     frustum = build_viewcell_frustum(cell)
     cams = cameras if cameras is not None else sample_viewpoints(cell, ocfg)
     seen = np.zeros(nx * ny * nz, dtype=bool)
     for cam in cams:
         zflat = _depth_pass(scene, cam, DEPTH_SCALE * nx, DEPTH_SCALE * ny)
-        _mark_covered(seen, zflat, cam, frustum, grid.dims)
-    grid.bits = np.packbits(seen, bitorder="little")
-    return grid
+        _mark_covered(seen, zflat, cam, frustum, dims)
+    return FroxelGrid.from_flat(dims, seen, role="gt_pvs")
 
 
 def _mark_covered(seen: np.ndarray, zflat: np.ndarray, camera: Camera, frustum: Camera,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SceneBuilder, Vec3, ViewCell, build_viewcell_frustum
+from .core import SceneBuilder, TriScene, Vec3, ViewCell, build_viewcell_frustum
 from .froxel import froxelize
 from .oracle import OracleConfig, compute_gt_pvs
 
@@ -378,39 +378,33 @@ class FrameRecord:
     gt_path: str
 
 
-class DatasetError(RuntimeError):
-    def __init__(self, index: int, message: str):
-        super().__init__(f"frame {index}: {message}")
-        self.index = index
-
-
 def frame_seed(master_seed: int, index: int) -> int:
     """Stable per-frame seed from a splittable seed sequence."""
     ss = np.random.SeedSequence([int(master_seed), int(index)])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def frame_grids(scene: TriScene, cell: ViewCell, dims, ocfg: OracleConfig) -> tuple:
+    """One frame's (geometry, gt): the oracle's PVS, and the run-time grid
+    ``froxelize`` with it OR-ed in, so gt is a subset of geometry bit for bit."""
+    gt = compute_gt_pvs(scene, cell, dims, ocfg)
+    return froxelize(scene, build_viewcell_frustum(cell), dims) | gt, gt
+
+
 def generate_dataset(cfg: SceneGenConfig, n_frames: int, out_dir, dims,
                      ocfg: OracleConfig) -> Path:
-    """Write ``n_frames`` (geometry, gt) grid pairs plus a manifest.
+    """Write ``n_frames`` (geometry, gt) grid pairs from :func:`frame_grids`
+    plus a manifest.
 
     The manifest is line-oriented: ``index seed geometry_path gt_path``.
-    Each geometry grid is ``froxelize(scene, frustum, dims) | gt``: the
-    run-time grid with the frame's ground truth OR-ed in. Every pair is
-    validated for the PVS-subset-of-geometry property before it is written;
-    a failing write raises its ``OSError``.
+    A failing write raises its ``OSError``.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["# froxelpvs dataset: index seed geometry gt"]
     for i in range(n_frames):
         seed = frame_seed(cfg.seed, i)
-        scene, cell = generate_scene(replace(cfg, seed=seed))
-        frustum = build_viewcell_frustum(cell)
-        gt = compute_gt_pvs(scene, cell, dims, ocfg)
-        geometry = froxelize(scene, frustum, dims) | gt
-        if not gt.subset_of(geometry):
-            raise DatasetError(i, "ground truth escapes the geometry grid")
+        geometry, gt = frame_grids(*generate_scene(replace(cfg, seed=seed)), dims, ocfg)
         geo_name, gt_name = f"geometry_{i:05d}.fpvs", f"gt_{i:05d}.fpvs"
         geometry.save(out_dir / geo_name)
         gt.save(out_dir / gt_name)

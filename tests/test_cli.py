@@ -11,10 +11,11 @@ import pytest
 from froxelpvs import cli
 from froxelpvs.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, RunConfig, main, \
     parse_run_config
+from froxelpvs.core import load_scene, save_scene
 from froxelpvs.froxel import FroxelGrid
 from froxelpvs.neural import ModelConfig, PvsNet, TrainConfig
 from froxelpvs.oracle import OracleConfig
-from froxelpvs.scenegen import SceneGenConfig
+from froxelpvs.scenegen import SceneGenConfig, frame_grids, generate_scene
 
 CASES = {
     "eval": (["eval", "--pred", "{a}", "--gt", "{a}", "--out", "{out}"], EXIT_OK),
@@ -202,3 +203,18 @@ def test_gen_dataset_write_failure_is_io_error(tmp_path, capsys):
     assert rc == EXIT_IO
     assert err.startswith("I/O error:") and "Traceback" not in err
     assert not (data / "manifest.txt").exists()
+
+
+def test_gt_writes_the_frame_grids(tmp_path, capsys):
+    """``gt`` saves the pair that ``frame_grids`` builds for the loaded
+    scene and the configured viewcell."""
+    path, out, geo = tmp_path / "scene.obj", tmp_path / "gt.fpvs", tmp_path / "geo.fpvs"
+    save_scene(path, generate_scene(SceneGenConfig(seed=3, count_range=(3, 5)))[0])
+    rc = main(["gt", "--scene", str(path), "--dims", "16", "--viewpoints", "4",
+               "--out", str(out), "--geometry-out", str(geo)])
+    assert rc == EXIT_OK and "Traceback" not in capsys.readouterr().err
+    cfg = parse_run_config(["gt", "--dims", "16", "--viewpoints", "4"])
+    want_geo, want_gt = frame_grids(load_scene(path), cfg.viewcell(), cfg.dims,
+                                    OracleConfig(viewpoints=4))
+    assert FroxelGrid.load(out) == want_gt and want_gt.occupied_count() > 0
+    assert FroxelGrid.load(geo) == want_geo

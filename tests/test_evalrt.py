@@ -212,3 +212,8 @@ def test_metrics_csv_wrong_header_rejected(tmp_path):
     path.write_text("frame,fnr,fpr\n0,0.5,0.25\n")
     with pytest.raises(ValueError):
         read_metrics_csv(path)
+
+
+def test_froxel_metrics_rejects_other_dims():
+    with pytest.raises(ValueError, match="dims mismatch"):
+        froxel_metrics(FroxelGrid((16, 8, 8)), FroxelGrid((16, 8, 16)))

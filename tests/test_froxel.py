@@ -9,7 +9,8 @@ from froxelpvs.core import (Camera, TriScene, Vec3, build_viewcell_frustum, dept
                             unproject_ndc)
 from froxelpvs.froxel import (_DEGEN_EPS, _MAX_PAIRS, SUPERSAMPLE, FroxelGrid,
                               _fragment_stream, clip_triangles_halfspace, froxel_id_map, froxelize,
-                              interp_affine, iter_raster_chunks, quantize, screen_triangles)
+                              grid_dims, interp_affine, iter_raster_chunks, quantize,
+                              screen_triangles)
 from froxelpvs.scenegen import SceneGenConfig, frame_seed, generate_scene
 
 from conftest import PERSPECTIVE, default_cell, quad_at
@@ -106,6 +107,24 @@ class TestFroxelGrid:
         for x, y, z in coords:
             b.set(x, y, z)
         assert a == b
+
+    @pytest.mark.parametrize("dims", [(16, 3, 5), (8, 1, 1), (24, 6, 2)])
+    def test_from_flat_and_at_match_dense(self, dims, rng):
+        """Flat index x + N_x * (y + N_y * z) is the dense grid's (z, y, x)
+        C-order index, on non-cubic dims too."""
+        dense = rng.random(dims) < 0.4
+        flat = dense.transpose(2, 1, 0).reshape(-1)
+        grid = FroxelGrid.from_flat(dims, flat, role="gt_pvs")
+        assert grid == FroxelGrid.from_dense(dense, role="gt_pvs")
+        assert np.array_equal(grid.to_dense(), dense)
+        cells = rng.permutation(flat.size)
+        assert np.array_equal(grid.at(cells), flat[cells])
+        x, y, z = np.unravel_index(cells, dims, order="F")
+        assert [grid.get(*c) for c in zip(x, y, z)] == flat[cells].astype(int).tolist()
+
+    def test_from_flat_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            FroxelGrid.from_flat((16, 3, 5), np.zeros(16 * 3 * 5 - 1, dtype=bool), "gt_pvs")
 
     def test_subset_and_or(self, rng):
         dims = (16, 4, 4)
@@ -217,6 +236,17 @@ class TestFroxelize:
         scene = TriScene(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
         with pytest.raises(ValueError):
             froxelize(scene, frustum, (15, 16, 16))
+
+    @pytest.mark.parametrize("dims", [(8, 0, 8), (8, 8, 0), (8, -8, 8), (12, 8, 8)])
+    def test_every_dims_reader_rejects_the_same_dims(self, dims):
+        """``grid_dims`` is the one rule: the grid, ``froxelize`` and the id
+        map reject the same dims, with a scene in view."""
+        frustum = build_viewcell_frustum(default_cell())
+        scene = TriScene(*quad_at(5.0, 1.0, 1.0, cy=1.5))
+        for read in (grid_dims, FroxelGrid, lambda d: froxelize(scene, frustum, d),
+                     lambda d: froxel_id_map(scene, frustum, d)):
+            with pytest.raises(ValueError):
+                read(dims)
 
     @PERSPECTIVE
     def test_full_span_quad_single_layer(self, projection):

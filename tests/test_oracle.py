@@ -227,7 +227,7 @@ class TestComputeGtPvs:
         assert gt.occupied_count() > 0
         assert neg == gt
 
-    @pytest.mark.parametrize("dims", [(12, 16, 16), (0, 16, 16)])
+    @pytest.mark.parametrize("dims", [(12, 16, 16), (0, 16, 16), (8, 8, 0), (8, -8, 8)])
     def test_bad_dims_rejected_before_rendering(self, dims, monkeypatch):
         def fail(*args):
             raise AssertionError("rendered before the dims were checked")
