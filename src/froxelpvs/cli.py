@@ -258,10 +258,6 @@ def cmd_train(cfg: RunConfig) -> int:
         raise UsageError("holdout must leave at least one training pair")
     eval_pairs = pairs[len(pairs) - cfg.holdout:] if cfg.holdout else None
     train_pairs = pairs[:len(pairs) - cfg.holdout] if cfg.holdout else pairs
-    if any(dim % cfg.d for dim in train_pairs[0][0].dims):
-        print(f"validation failed: dims {train_pairs[0][0].dims} not divisible "
-              f"by d={cfg.d}", file=sys.stderr)
-        return EXIT_VALIDATION
     log_path = cfg.log or (cfg.out + ".epochs.csv")
     net, history = train(train_pairs, mcfg, tcfg,
                          eval_pairs=eval_pairs, checkpoint_path=cfg.out,

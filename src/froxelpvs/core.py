@@ -317,26 +317,33 @@ def unproject_ndc(camera: Camera, uvw) -> np.ndarray:
     return camera.origin + np.column_stack([x, y, z]) @ camera.basis
 
 
-def reproject_fragments(camera: Camera, frustum: Camera, px, py, depth, resolution):
+def reproject_fragments(camera: Camera, frustum: Camera, px, py, depth, resolution, out):
     """Unproject depth-buffer fragments of ``camera`` and project them into
     ``frustum``; the result equals :func:`project_points` of the fragments'
     world positions bit for bit.
 
-    ``px``/``py`` are integer pixel coordinates in a (width, height) buffer
-    and ``depth`` is forward depth. A fragment sits at the pixel center.
-    Returns ``(uvw, inside)`` like :func:`project_points`, with ``uvw``
-    column-major so each axis is a contiguous vector.
+    ``px``/``py`` are integer pixel coordinates inside a (width, height)
+    buffer and ``depth`` is forward depth. A fragment sits at the pixel
+    center. ``out`` is a C-contiguous float64 array of shape (7, m), m at
+    least the fragment count, that the function works in. Returns
+    ``(uvw, inside)`` like :func:`project_points`, both views of ``out``,
+    with ``uvw`` column-major so each axis is a contiguous vector.
     """
     w, h = resolution
     he = camera.half_extent
     z = np.asarray(depth, dtype=np.float64)
+    n, m = len(z), out.shape[1]
+    if out.shape[0] < 7 or m < n or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 (7, >={n}) array")
+    cam = out[0:3].reshape(-1)[:3 * n].reshape(n, 3)
+    pts = out[3:6].reshape(-1)[:3 * n].reshape(n, 3)
     # camera-space points: (2 (p + 0.5) / n - 1) * he * z, from per-pixel tables
-    cam = np.empty((len(z), 3))
-    for a, (p, n) in enumerate(((px, w), (py, h))):
-        np.take((2.0 * (np.arange(n) + 0.5) / n - 1.0) * he, p, out=cam[:, a])
-        cam[:, a] *= z
+    for a, (p, size) in enumerate(((px, w), (py, h))):
+        col = np.take((2.0 * (np.arange(size) + 0.5) / size - 1.0) * he, p, out=out[6, :n],
+                      mode="wrap")
+        np.multiply(col, z, out=cam[:, a])
     cam[:, 2] = z
-    pts = cam @ camera.basis
+    np.matmul(cam, camera.basis, out=pts)
     # per column: a (3,) operand broadcast over rows runs a length-3 inner loop
     for a, (o, f) in enumerate(zip(camera.origin, frustum.origin)):
         pts[:, a] += o
@@ -345,8 +352,9 @@ def reproject_fragments(camera: Camera, frustum: Camera, px, py, depth, resoluti
     # project_points in place; uvw takes over the buffer of pts, column-major
     uvw = pts.reshape(3, -1).T
     z = local[:, 2]
-    inside = z > 0
-    z[~inside] = 1.0
+    inside, test = (out[6].view(np.bool_)[k * m:k * m + n] for k in (0, 1))
+    np.greater(z, 0, out=inside)
+    np.copyto(z, 1.0, where=np.logical_not(inside, out=test))
     np.subtract(z, frustum.near, out=uvw[:, 2])
     uvw[:, 2] /= frustum.far - frustum.near
     z *= frustum.half_extent
@@ -355,8 +363,8 @@ def reproject_fragments(camera: Camera, frustum: Camera, px, py, depth, resoluti
         uvw[:, a] /= z
         uvw[:, a] += 0.5
     for a in range(3):
-        inside &= uvw[:, a] >= 0
-        inside &= uvw[:, a] <= 1
+        inside &= np.greater_equal(uvw[:, a], 0, out=test)
+        inside &= np.less_equal(uvw[:, a], 1, out=test)
     return uvw, inside
 
 

@@ -6,11 +6,14 @@ first: byte index = (x >> 3) + (N_x/8) * (y + N_y * z), bit index = x & 7.
 Rasterization works on flat (triangle, sample) candidate pairs so the hot
 path stays inside numpy; the same traversal backs occupancy grids, the
 froxel-to-primitive map, and the oracle's depth buffers. The pairs come in
-chunks of at most ``_MAX_PAIRS`` candidates, cut between raster rows, so a
-chunk's temporaries stay about 2.8 MiB whatever the grid resolution or the
-size of a triangle; only the per-row set-up grows with the number of raster
-rows (see :func:`iter_raster_chunks`). Only :class:`FroxelGrid` reads or
-writes packed bits, and only :func:`grid_dims` checks dims.
+chunks of at most ``_MAX_PAIRS`` = 2^13 candidates, cut between raster
+rows, and one pass runs all of its chunks in one :class:`RasterWork`: a
+block of ten 8-byte arrays of chunk length, the sample offsets and ten
+per-row arrays over batches of ``_MAX_ROWS`` = 4096 rows, 1 MiB in all,
+with two compaction index arrays of at most 64 KiB per chunk. That fits a
+2 MiB L2 cache at any grid resolution or triangle size (see
+:func:`iter_raster_chunks`). Only :class:`FroxelGrid` reads or writes
+packed bits, and only :func:`grid_dims` checks dims.
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ FPVS_HEADER = 24
 ROLE_TAGS = ("geometry", "gt_pvs", "predicted_pvs")
 
 _DEGEN_EPS = 1e-12
-_MAX_PAIRS = 1 << 14  # candidate samples per raster chunk; see iter_raster_chunks
+_MAX_PAIRS = 1 << 13  # candidate samples per raster chunk; see RasterWork
+_CHUNK_ROWS = 10      # chunk-length arrays of a RasterWork
+_ROW_ARRAYS = 10      # batch-length (per raster row) arrays of a RasterWork
+_MAX_ROWS = 1 << 12   # raster rows per batch, unless max_pairs / 2 is larger
 _SPAN_ULPS = 16      # bound on the inside test's rounding, in eps of its operands
 SUPERSAMPLE = 4      # raster samples per froxel along x and along y
 
@@ -233,20 +239,270 @@ def clip_triangles_halfspace(tris: np.ndarray, dist: np.ndarray):
     return fans[emit], np.repeat(np.arange(n), 2)[emit]
 
 
+def _affine_table(attrs: np.ndarray) -> np.ndarray:
+    """(3, T) rows a0, a1 - a0 and a2 - a0 of per-vertex attributes (T, 3):
+    the per-triangle terms that :func:`interp_affine` gathers per sample."""
+    a0 = attrs[:, 0]
+    return np.stack([a0, attrs[:, 1] - a0, attrs[:, 2] - a0])
+
+
+def _interp_into(out, tmp, table, tri, b1, b2):
+    """:func:`interp_affine` from an :func:`_affine_table`, into ``out``;
+    ``tmp`` is scratch of the same length. Every sum and product equals the
+    allocating form's bit for bit."""
+    table[1].take(tri, out=out, mode="wrap")
+    out *= b1
+    table[0].take(tri, out=tmp, mode="wrap")
+    out += tmp
+    table[2].take(tri, out=tmp, mode="wrap")
+    tmp *= b2
+    out += tmp
+
+
 def interp_affine(attrs: np.ndarray, tri, b1, b2):
     """Interpolate per-vertex attributes (T, 3) over samples of triangles
     ``tri`` with the weights of vertices 1 and 2; anchoring at vertex 0
     keeps constant attributes bit-exact. The vertex differences are taken
     per triangle and gathered per sample."""
-    a0 = attrs[:, 0]
-    return a0[tri] + b1 * (attrs[:, 1] - a0)[tri] + b2 * (attrs[:, 2] - a0)[tri]
+    out, tmp = np.empty(len(tri)), np.empty(len(tri))
+    _interp_into(out, tmp, _affine_table(attrs), tri, b1, b2)
+    return out
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray):
-    """Concatenated integer ranges ``[s, s + n)``, and for each element the
-    index of the range it came from."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    return np.arange(len(owner)) + (starts - (np.cumsum(counts) - counts))[owner], owner
+class RasterWork:
+    """The working set of one rasterizer pass, reused by every chunk.
+
+    One float64 block holds ``_CHUNK_ROWS`` arrays of chunk length,
+    :attr:`rows`, the sample offsets 0, 1, 2, ..., and ``_ROW_ARRAYS``
+    arrays of batch length. The raster writes each chunk into rows 0-4 and
+    leaves rows 5 to the last free, so a chunk's consumer works in those
+    with ``out=`` and views of the chunk's length. :attr:`ints` reads the
+    rows as int64, and ``masks[i, k]`` is the k-th of the eight bool arrays
+    of chunk length in the bytes of row i. Chunks hold at most ``max_pairs``
+    candidate samples, or one raster row, and batches at most
+    ``row_budget`` rows: ``_MAX_ROWS``, or ``max_pairs // 2`` if larger, so
+    that a budget covering the whole raster keeps it one chunk. The block
+    is sized to the first triangle set that needs it, capped at those
+    budgets, and grows (batches at least twofold) only when a later set
+    needs more; per chunk the pass allocates only the index array of each
+    compaction.
+
+    At the default budgets the block is at most (10 + 1) * 64 KiB +
+    10 * 32 KiB = 1 MiB, whatever the resolution and the triangles.
+    """
+
+    def __init__(self, max_pairs: int):
+        self.max_pairs = max_pairs
+        self.row_budget = max(_MAX_ROWS, max_pairs // 2)
+        self.rows = self.ints = np.empty((_CHUNK_ROWS, 0))
+        self.masks = np.empty((_CHUNK_ROWS, 8, 0), dtype=np.bool_)
+        self._iota = np.empty(0, dtype=np.int64)
+        self._per_row = np.empty((_ROW_ARRAYS, 0))
+
+    def reserve(self, n: int, nrows: int):
+        """Grow the block to hold chunks of ``n`` samples and batches of
+        ``nrows`` raster rows."""
+        m, b = self.rows.shape[1], self._per_row.shape[1]
+        if n <= m and nrows <= b:
+            return
+        # batches grow at least twofold, so a pass over many views regrows rarely
+        m, b = max(n, m), b if nrows <= b else max(nrows, min(2 * b, self.row_budget))
+        # free the old block first
+        self.rows = self.ints = self.masks = self._iota = self._per_row = None
+        block = np.empty((_CHUNK_ROWS + 1) * m + _ROW_ARRAYS * b)
+        self.rows = block[:_CHUNK_ROWS * m].reshape(_CHUNK_ROWS, m)
+        self.ints = self.rows.view(np.int64)
+        self.masks = self.rows.view(np.bool_).reshape(_CHUNK_ROWS, 8, m)
+        self._iota = block[_CHUNK_ROWS * m:(_CHUNK_ROWS + 1) * m].view(np.int64)
+        self._iota[:] = np.arange(m)
+        self._per_row = block[(_CHUNK_ROWS + 1) * m:].reshape(_ROW_ARRAYS, b)
+
+    def chunks(self, tris2d: np.ndarray, width: int, height: int):
+        """:func:`iter_raster_chunks` in this working set."""
+        tris2d = np.asarray(tris2d, dtype=np.float64)
+        if len(tris2d) == 0:
+            return
+        v0 = tris2d[:, 0]
+        e1 = tris2d[:, 1] - v0
+        e2 = tris2d[:, 2] - v0
+        den = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
+        mins = tris2d.min(axis=1)
+        maxs = tris2d.max(axis=1)
+        x0 = np.clip(np.ceil(mins[:, 0] - 0.5), 0, width).astype(np.int64)
+        x1 = np.clip(np.floor(maxs[:, 0] - 0.5) + 1, 0, width).astype(np.int64)
+        y0 = np.clip(np.ceil(mins[:, 1] - 0.5), 0, height).astype(np.int64)
+        y1 = np.clip(np.floor(maxs[:, 1] - 0.5) + 1, 0, height).astype(np.int64)
+        w = np.maximum(x1 - x0, 0)
+        h = np.maximum(y1 - y0, 0)
+        live = np.nonzero((np.abs(den) > _DEGEN_EPS) & (w * h > 0))[0]
+        if len(live) == 0:
+            return
+
+        # b_k * den = alpha_k * dx + beta_k * dy + gamma_k for k = 0, 1, 2
+        alpha = np.column_stack([e1[:, 1] - e2[:, 1], e2[:, 1], -e1[:, 1]])
+        beta = np.column_stack([e2[:, 0] - e1[:, 0], -e2[:, 0], e1[:, 0]])
+        gamma = np.column_stack([den, np.zeros_like(den), np.zeros_like(den)])
+        # bound on the inside test's rounding of b_k * den over the box, where
+        # |dx| <= mx and |dy| <= my
+        mx = np.maximum(np.abs(x0 + 0.5 - v0[:, 0]), np.abs(x1 - 0.5 - v0[:, 0]))
+        my = np.maximum(np.abs(y0 + 0.5 - v0[:, 1]), np.abs(y1 - 0.5 - v0[:, 1]))
+        slack = _SPAN_ULPS * np.finfo(np.float64).eps * (
+            mx * (np.abs(e1[:, 1]) + np.abs(e2[:, 1]))
+            + my * (np.abs(e1[:, 0]) + np.abs(e2[:, 0])) + np.abs(den))
+        # that rounding moves a span bound by under half a pixel where the
+        # x-coefficient exceeds twice it; an edge nearer horizontal bounds nothing
+        bounded = np.abs(alpha) > 2.0 * slack[:, None]
+        lower = bounded & (alpha * np.sign(den)[:, None] > 0)
+        upper = bounded & ~lower
+        alpha = np.where(bounded, alpha, 1.0)
+
+        # contiguous per-live-triangle tables, gathered per row below
+        tables = {"live": live, "den": den[live], "x0": x0[live].astype(np.float64),
+                  "x1": x1[live].astype(np.float64)}
+        for name, arr in (("v0", v0), ("e1", e1), ("e2", e2)):
+            tables[name + "x"], tables[name + "y"] = arr[live].T.copy()
+        for name, arr in (("alpha", alpha), ("beta", beta), ("gamma", gamma),
+                          ("lower", lower), ("upper", upper)):
+            tables[name] = arr[live].T.copy()
+        # the rows of every live triangle, concatenated: triangle k holds
+        # rows [ends[k] - h[k], ends[k]), whose raster y starts at y0[k]
+        hl = h[live]
+        tables["ends"] = ends = np.cumsum(hl)
+        tables["y0"] = y0[live] - (ends - hl)
+        total = int(ends[-1])
+        budget = self.row_budget
+        nrows = min(total, budget)
+        # the chunk rows also serve as the batch set-up's scratch
+        self.reserve(max(nrows, min(int((w[live] * hl).sum()), max(self.max_pairs, width))),
+                     nrows)
+        for r0 in range(0, total, budget):
+            yield from self._batch_chunks(self._batch_rows(tables, r0, min(r0 + budget, total)))
+
+    def _batch_rows(self, tables: dict, r0: int, r1: int) -> int:
+        """Per-row set-up of the concatenated rows [r0, r1) into the per-row
+        arrays; returns how many rows have candidates."""
+        nb = r1 - r0
+        rows, ints, masks, per = self.rows, self.ints, self.masks, self._per_row
+        per_ints = per.view(np.int64)
+        # live triangle of each row: a 1 where a triangle's rows begin, summed
+        kk = ints[0, :nb]
+        kk.fill(0)
+        ends = tables["ends"]
+        j0 = int(np.searchsorted(ends, r0, side="right"))
+        kk[ends[j0:np.searchsorted(ends, r1, side="left")] - r0] = 1
+        np.cumsum(kk, out=kk)
+        kk += j0
+
+        def gather(name, idx, out):
+            return tables[name].take(idx, out=out, mode="wrap")
+
+        row_y = gather("y0", kk, ints[1, :nb])
+        row_y += self._iota[:nb]
+        row_y += r0
+        # dx at which each b_k crosses zero on the row, for k = 0, 1, 2
+        ry = rows[2, :nb]
+        np.copyto(ry, row_y)
+        ry += 0.5
+        ry -= gather("v0y", kk, rows[3, :nb])
+        z, tmp = (rows[i:i + 3].reshape(-1)[:3 * nb].reshape(3, nb) for i in (3, 6))
+        side = rows[9].view(np.bool_)[:3 * nb].reshape(3, nb)
+
+        def gather3(name, out):
+            return tables[name].take(kk, axis=1, out=out, mode="wrap")
+
+        gather3("beta", z)
+        z *= ry
+        z += gather3("gamma", tmp)
+        np.negative(z, out=z)
+        z /= gather3("alpha", tmp)
+        lo = np.max(z, axis=0, where=gather3("lower", side), initial=-np.inf, out=rows[6, :nb])
+        hi = np.min(z, axis=0, where=gather3("upper", side), initial=np.inf, out=rows[7, :nb])
+        # px = dx + sx; one pixel of widening on each side absorbs the rounding
+        sx, bx0, bx1 = (gather(name, kk, rows[i, :nb]) for i, name in
+                        ((3, "v0x"), (4, "x0"), (5, "x1")))
+        sx -= 0.5
+        xa, xb = ints[8, :nb], ints[9, :nb]
+        lo += sx
+        np.ceil(lo, out=lo)
+        lo -= 1
+        np.copyto(xa, np.clip(lo, bx0, bx1, out=lo), casting="unsafe")
+        hi += sx
+        np.floor(hi, out=hi)
+        hi += 2
+        np.copyto(xb, np.clip(hi, bx0, bx1, out=hi), casting="unsafe")
+        keep = np.flatnonzero(np.greater(xb, xa, out=masks[6, 0, :nb]))
+        n = len(keep)
+        # the kept rows' arrays: triangle, y, xa minus the row's first sample
+        # index, end sample index, then the factors gathered per sample
+        row_t, kept_y, first, row_end = (per_ints[i, :n] for i in range(4))
+        kept = kk.take(keep, out=ints[3, :n], mode="wrap")
+        gather("live", kept, row_t)
+        row_y.take(keep, out=kept_y, mode="wrap")
+        count, start = ints[4, :n], ints[5, :n]
+        xb.take(keep, out=count, mode="wrap")
+        xa.take(keep, out=start, mode="wrap")
+        count -= start
+        np.cumsum(count, out=row_end)
+        np.subtract(row_end, count, out=first)
+        np.subtract(start, first, out=first)
+        for i, name in ((4, "v0x"), (5, "den"), (6, "e1y"), (7, "e2y"), (8, "e1x"), (9, "e2x")):
+            gather(name, kept, per[i, :n])
+        # ry is the sample's dy, so each product equals its per-sample form
+        ry = ry.take(keep, out=rows[7, :n], mode="wrap")
+        per[8, :n] *= ry
+        per[9, :n] *= ry
+        return n
+
+    def _batch_chunks(self, nrows: int):
+        """Cut a batch's rows into chunks and test their samples."""
+        rows, ints, masks, per = self.rows, self.ints, self.masks, self._per_row
+        row_t, row_y, first, row_end = per.view(np.int64)[:4, :nrows]
+        rv0x, rden, re1y, re2y, re1xy, re2xy = per[4:, :nrows]
+        start = base = 0
+        while start < nrows:
+            stop = int(np.searchsorted(row_end, base + self.max_pairs, side="right"))
+            stop = max(stop, start + 1)
+            end = int(row_end[stop - 1])
+            n = end - base
+            # row of each sample: a 1 where a row begins, summed
+            r = ints[5, :n]
+            r.fill(0)
+            bounds = ints[6, :stop - start - 1]
+            np.subtract(row_end[start:stop - 1], base, out=bounds)
+            r[bounds] = 1
+            np.cumsum(r, out=r)
+            r += start
+            px = first.take(r, out=ints[6, :n], mode="wrap")
+            px += self._iota[:n]
+            px += base
+            dx, g, b1, b2, t = rows[:5, :n]
+            np.copyto(dx, px)
+            dx += 0.5
+            dx -= rv0x.take(r, out=g, mode="wrap")
+            re2y.take(r, out=b1, mode="wrap")
+            b1 *= dx
+            b1 -= re2xy.take(r, out=g, mode="wrap")
+            b1 /= rden.take(r, out=g, mode="wrap")
+            re1y.take(r, out=b2, mode="wrap")
+            b2 *= dx
+            np.subtract(re1xy.take(r, out=t, mode="wrap"), b2, out=b2)
+            b2 /= g
+            # all of 1 - b1 - b2, b1 and b2 are >= 0 (a NaN fails either way)
+            np.subtract(1.0, b1, out=t)
+            t -= b2
+            np.minimum(t, b1, out=t)
+            np.minimum(t, b2, out=t)
+            inside = np.flatnonzero(np.greater_equal(t, 0, out=masks[7, 0, :n]))
+            k = len(inside)
+            if k:
+                # compact into rows 0-4 in an order that reads each source first
+                out_px = px.take(inside, out=ints[1, :k], mode="wrap")
+                out_b2 = b2.take(inside, out=rows[4, :k], mode="wrap")
+                out_b1 = b1.take(inside, out=rows[3, :k], mode="wrap")
+                rr = r.take(inside, out=ints[7, :k], mode="wrap")
+                yield (row_t.take(rr, out=ints[0, :k], mode="wrap"), out_px,
+                       row_y.take(rr, out=ints[2, :k], mode="wrap"), out_b1, out_b2)
+            start, base = stop, end
 
 
 def iter_raster_chunks(tris2d: np.ndarray, width: int, height: int,
@@ -264,92 +520,19 @@ def iter_raster_chunks(tris2d: np.ndarray, width: int, height: int,
     runs on them unchanged, so the output equals testing every pixel of the
     box. Samples come out triangle by triangle, row by row, left to right.
 
-    The spans of every row are found in one pass; the rows are then cut,
-    in that order, into chunks of at most ``max_pairs`` candidate samples,
-    so a large triangle is split between rows, and a row longer than the
-    budget is a chunk of its own. A chunk's temporaries, with those of its
-    consumer, are about twenty arrays of at most ``max_pairs`` elements: at
-    the default of 2^14 (128 KiB per 8-byte array) they hold about 2.8 MiB
-    at any resolution and triangle size, more than a 2 MiB L2 cache. The
-    per-row set-up is not bounded: about a dozen arrays with one entry per
-    raster row of every triangle live until the last chunk, so they grow
-    with the raster's height and the triangles' heights. On the generated
-    scene ``SceneGenConfig(seed=frame_seed(0, 0))``, 1324 triangles, they
-    hold 1.81 / 2.61 / 4.23 MB at 64^3 / 128^3 / 256^3 froxel grids.
+    The rows of all triangles, in that order, are cut into batches of at
+    most 4096 rows (``RasterWork.row_budget``), whose spans are found in one
+    pass; each batch's rows are then cut into chunks of at most
+    ``max_pairs`` candidate samples, so a large triangle is split between
+    rows, and a row longer than the budget is a chunk of its own. Past the
+    per-triangle set-up everything runs in one :class:`RasterWork`: ten
+    8-byte arrays of chunk length, the sample offsets and ten per-row
+    arrays, 1 MiB at the default 2^13 samples, and per chunk the index
+    array of the inside test. That fits a 2 MiB L2 cache at any resolution
+    and triangle size. The chunks are views into the working set, valid
+    until the next chunk is drawn; copy a chunk to keep it.
     """
-    tris2d = np.asarray(tris2d, dtype=np.float64)
-    if len(tris2d) == 0:
-        return
-    v0 = tris2d[:, 0]
-    e1 = tris2d[:, 1] - v0
-    e2 = tris2d[:, 2] - v0
-    den = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
-    mins = tris2d.min(axis=1)
-    maxs = tris2d.max(axis=1)
-    x0 = np.clip(np.ceil(mins[:, 0] - 0.5), 0, width).astype(np.int64)
-    x1 = np.clip(np.floor(maxs[:, 0] - 0.5) + 1, 0, width).astype(np.int64)
-    y0 = np.clip(np.ceil(mins[:, 1] - 0.5), 0, height).astype(np.int64)
-    y1 = np.clip(np.floor(maxs[:, 1] - 0.5) + 1, 0, height).astype(np.int64)
-    w = np.maximum(x1 - x0, 0)
-    h = np.maximum(y1 - y0, 0)
-    live = np.nonzero((np.abs(den) > _DEGEN_EPS) & (w * h > 0))[0]
-    if len(live) == 0:
-        return
-
-    # b_k * den = alpha_k * dx + beta_k * dy + gamma_k for k = 0, 1, 2
-    alpha = np.column_stack([e1[:, 1] - e2[:, 1], e2[:, 1], -e1[:, 1]])
-    beta = np.column_stack([e2[:, 0] - e1[:, 0], -e2[:, 0], e1[:, 0]])
-    gamma = np.column_stack([den, np.zeros_like(den), np.zeros_like(den)])
-    # bound on the inside test's rounding of b_k * den over the box, where
-    # |dx| <= mx and |dy| <= my
-    mx = np.maximum(np.abs(x0 + 0.5 - v0[:, 0]), np.abs(x1 - 0.5 - v0[:, 0]))
-    my = np.maximum(np.abs(y0 + 0.5 - v0[:, 1]), np.abs(y1 - 0.5 - v0[:, 1]))
-    slack = _SPAN_ULPS * np.finfo(np.float64).eps * (
-        mx * (np.abs(e1[:, 1]) + np.abs(e2[:, 1]))
-        + my * (np.abs(e1[:, 0]) + np.abs(e2[:, 0])) + np.abs(den))
-    # that rounding moves a span bound by under half a pixel where the
-    # x-coefficient exceeds twice it; an edge nearer horizontal bounds nothing
-    bounded = np.abs(alpha) > 2.0 * slack[:, None]
-    lower = bounded & (alpha * np.sign(den)[:, None] > 0)
-    upper = bounded & ~lower
-    alpha = np.where(bounded, alpha, 1.0)
-
-    row_y, row_t = _ranges(y0[live], h[live])
-    row_t = live[row_t]
-    # dx at which each b_k crosses zero on the row
-    ry = (row_y + 0.5) - v0[row_t, 1]
-    zero = -(beta[row_t] * ry[:, None] + gamma[row_t]) / alpha[row_t]
-    lo = np.where(lower[row_t], zero, -np.inf).max(axis=1)
-    hi = np.where(upper[row_t], zero, np.inf).min(axis=1)
-    # px = dx + sx; one pixel of widening on each side absorbs the rounding
-    sx = v0[row_t, 0] - 0.5
-    xa = np.clip(np.ceil(lo + sx) - 1, x0[row_t], x1[row_t]).astype(np.int64)
-    xb = np.clip(np.floor(hi + sx) + 2, x0[row_t], x1[row_t]).astype(np.int64)
-    rows = np.flatnonzero(xb > xa)
-    row_t, row_y, ry, xa = row_t[rows], row_y[rows], ry[rows], xa[rows]
-    count = xb[rows] - xa
-    # per-row factors, gathered per sample below; ry is the sample's dy, so
-    # each product equals its per-sample form
-    rv0x, rden, re1y, re2y = v0[row_t, 0], den[row_t], e1[row_t, 1], e2[row_t, 1]
-    re1xy, re2xy = e1[row_t, 0] * ry, e2[row_t, 0] * ry
-
-    ends = np.cumsum(count)
-    start = 0
-    while start < len(rows):
-        base = ends[start - 1] if start else 0
-        stop = int(np.searchsorted(ends, base + max_pairs, side="right"))
-        stop = max(stop, start + 1)
-        px, r = _ranges(xa[start:stop], count[start:stop])
-        r += start
-        dx = (px + 0.5) - rv0x[r]
-        dd = rden[r]
-        b1 = (dx * re2y[r] - re2xy[r]) / dd
-        b2 = (re1xy[r] - dx * re1y[r]) / dd
-        inside = np.flatnonzero((1.0 - b1 - b2 >= 0) & (b1 >= 0) & (b2 >= 0))
-        if len(inside):
-            r = r[inside]
-            yield row_t[r], px[inside], row_y[r], b1[inside], b2[inside]
-        start = stop
+    return RasterWork(max_pairs).chunks(tris2d, width, height)
 
 
 def screen_triangles(scene: TriScene, camera: Camera, width: int, height: int):
@@ -377,6 +560,11 @@ def screen_triangles(scene: TriScene, camera: Camera, width: int, height: int):
 
 
 def _fragment_stream(scene: TriScene, frustum: Camera, dims):
+    """:func:`_fragments` in a working set of its own."""
+    return _fragments(scene, frustum, dims, RasterWork(_MAX_PAIRS))
+
+
+def _fragments(scene: TriScene, frustum: Camera, dims, work: RasterWork):
     """Rasterize the scene through the viewcell frustum at ``SUPERSAMPLE``
     times the froxel resolution in x and y; yields chunks ``(flat froxel
     indices, source triangle)``, where flat = x + N_x * (y + N_y * z).
@@ -384,21 +572,48 @@ def _fragment_stream(scene: TriScene, frustum: Camera, dims):
     x and y are the sample's pixel divided by ``SUPERSAMPLE``, which equals
     :func:`quantize` of its center: ``(px + 0.5) / sx * nx`` lies at least
     1/8 from an integer. z is ``floor(w * N_z)``, clamped at w = 1.
+
+    The chunks are views into rows 3 and 5 of ``work``, valid until the
+    next chunk; rows 0-2, 4, 6 and 7 are free for the consumer.
     """
     nx, ny, nz = dims = grid_dims(dims)
     sx, sy = SUPERSAMPLE * nx, SUPERSAMPLE * ny
     tris2d, invz, src = screen_triangles(scene, frustum, sx, sy)
-    wv = depth_to_w(frustum, 1.0 / invz)
-    for tri, px, py, b1, b2 in iter_raster_chunks(tris2d, sx, sy):
-        inv = interp_affine(invz, tri, b1, b2)
+    inv_table, w_table = _affine_table(invz), _affine_table(depth_to_w(frustum, 1.0 / invz))
+    invz_by_vertex = invz.T.copy()
+    for tri, px, py, b1, b2 in work.chunks(tris2d, sx, sy):
+        k = len(tri)
+        rows, ints, masks = work.rows, work.ints, work.masks
+        inv, tmp = rows[5, :k], rows[6, :k]
+        _interp_into(inv, tmp, inv_table, tri, b1, b2)
         # perspective-corrected weights keep depth exact on constant-z faces
-        w = interp_affine(wv, tri, b1 * invz[tri, 1] / inv, b2 * invz[tri, 2] / inv)
-        keep = np.flatnonzero((w >= 0) & (w <= 1))
-        if len(keep) == 0:
+        for b, vertex in ((b1, 1), (b2, 2)):
+            b *= invz_by_vertex[vertex].take(tri, out=tmp, mode="wrap")
+            b /= inv
+        w = inv
+        _interp_into(w, tmp, w_table, tri, b1, b2)
+        keep = masks[7, 0, :k]
+        np.greater_equal(w, 0, out=keep)
+        keep &= np.less_equal(w, 1, out=masks[7, 1, :k])
+        keep = np.flatnonzero(keep)
+        j = len(keep)
+        if j == 0:
             continue
-        z = np.minimum((w[keep] * nz).astype(np.int64), nz - 1)
-        yield (px[keep] // SUPERSAMPLE + nx * (py[keep] // SUPERSAMPLE + ny * z),
-               src[tri[keep]])
+        z = ints[3, :j]
+        zf = w.take(keep, out=tmp[:j], mode="wrap")
+        zf *= nz
+        np.copyto(z, zf, casting="unsafe")
+        np.minimum(z, nz - 1, out=z)
+        y = py.take(keep, out=ints[4, :j], mode="wrap")
+        y //= SUPERSAMPLE
+        z *= ny
+        y += z
+        y *= nx
+        flat = px.take(keep, out=ints[5, :j], mode="wrap")
+        flat //= SUPERSAMPLE
+        flat += y
+        kept_tri = tri.take(keep, out=ints[6, :j], mode="wrap")
+        yield flat, src.take(kept_tri, out=ints[3, :j], mode="wrap")
 
 
 def froxelize(scene: TriScene, frustum: Camera, dims) -> FroxelGrid:
@@ -476,10 +691,19 @@ def froxel_id_map(scene: TriScene, frustum: Camera, dims) -> FroxelIdMap:
     if nx * ny * nz * span > np.iinfo(np.int64).max:
         raise ValueError("primitive id range too wide for the froxel id map keys")
     keys = [np.zeros(0, dtype=np.int64)]
-    for flat, src in _fragment_stream(scene, frustum, dims):
-        key = flat * span + (pids[src] - lo)
+    work = RasterWork(_MAX_PAIRS)
+    for flat, src in _fragments(scene, frustum, dims, work):
+        k = len(flat)
+        key = flat
+        key *= span
+        pid = pids.take(src, out=work.ints[6, :k], mode="wrap")
+        pid -= lo
+        key += pid
         # raster order puts a triangle's samples in one froxel next to each other
-        keys.append(key[np.flatnonzero(np.diff(key, prepend=-1))])
+        first = work.masks[7, 0, :k]
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        keys.append(key[np.flatnonzero(first)])
     keys = np.sort(np.concatenate(keys))
     flat, pid = np.divmod(keys[np.flatnonzero(np.diff(keys, prepend=-1))], span)
     first = np.flatnonzero(np.diff(flat, prepend=-1))

@@ -649,8 +649,6 @@ def predict_pvs(grid: FroxelGrid, net: PvsNet, tau: float = TrainConfig.tau) -> 
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
     d = net.cfg.d
-    if any(dim % d for dim in grid.dims):
-        raise ValueError(f"grid dims {grid.dims} not divisible by interleave factor {d}")
     x = interleave(grid, d).values
     if x.shape[3] != net.cfg.layers[0].in_channels:
         raise ValueError("grid/channel mismatch against the checkpoint")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from froxelpvs.core import Vec3, ViewCell
+from froxelpvs.froxel import _CHUNK_ROWS, _MAX_PAIRS, _MAX_ROWS, _ROW_ARRAYS
 
 # Froxelization tests carry the id "perspective", the projection they cover,
 # so their test ids stay comparable across the project's history.
@@ -41,6 +42,12 @@ def peak_mb(fn) -> float:
         return tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
+
+
+def raster_work_bytes() -> int:
+    """Bytes of a full-sized ``RasterWork`` at the default budgets, with the
+    index arrays of the two compactions a chunk may run."""
+    return 8 * ((_CHUNK_ROWS + 1 + 2) * _MAX_PAIRS + _ROW_ARRAYS * _MAX_ROWS)
 
 
 @pytest.fixture(scope="session")

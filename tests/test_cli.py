@@ -194,6 +194,19 @@ def test_train_prints_json_lines(tmp_path, capsys):
     assert summary == {"checkpoint": str(ckpt), "epochs": 2, "loss": epochs[-1]["loss"]}
 
 
+def test_train_d_not_dividing_dims_is_validation_error(tmp_path, capsys):
+    """``interleave``'s check reaches the CLI as exit 3, with no traceback."""
+    data, ckpt = tmp_path / "data", tmp_path / "net.fpvw"
+    assert main(["gen-dataset", "--dims", "32", "--frames", "1", "--viewpoints", "1",
+                 "--out", str(data)]) == EXIT_OK
+    capsys.readouterr()
+    rc = main(["train", "--manifest", str(data / "manifest.txt"), "--d", "3",
+               "--epochs", "1", "--out", str(ckpt)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION and "interleave factor 3 must divide" in err
+    assert "Traceback" not in err and not ckpt.exists()
+
+
 def test_gen_dataset_write_failure_is_io_error(tmp_path, capsys):
     data = tmp_path / "data"
     (data / "geometry_00000.fpvs").mkdir(parents=True)

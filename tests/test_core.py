@@ -203,7 +203,7 @@ class TestReproject:
         res = (64, 64)
         px, py, w = np.array([10, 33, 0]), np.array([20, 60, 0]), np.array([0.3, 0.8, 0.05])
         depth = frustum.near + w * (frustum.far - frustum.near)
-        uvw, inside = reproject_fragments(frustum, frustum, px, py, depth, res)
+        uvw, inside = reproject_fragments(frustum, frustum, px, py, depth, res, np.empty((7, 3)))
         assert inside.all()
         want = np.column_stack([(px + 0.5) / res[0], (py + 0.5) / res[1], w])
         assert np.abs(uvw - want).max() <= 1e-9
@@ -221,14 +221,16 @@ class TestReproject:
             px = rng.integers(0, 64, size=50)
             py = rng.integers(0, 64, size=50)
             depth = rng.uniform(cam.near, cam.far * 0.7, size=50)
-            _, inside = reproject_fragments(cam, frustum, px, py, depth, (64, 64))
+            _, inside = reproject_fragments(cam, frustum, px, py, depth, (64, 64),
+                                            np.empty((7, 50)))
             assert inside.all()
 
     def test_behind_target_flagged(self):
         cell = default_cell()
         frustum = build_viewcell_frustum(cell)
         back = Camera.from_forward(cell.center, Vec3(0, 0, -1), 60.0, 0.3, 20.0)
-        _, inside = reproject_fragments(back, frustum, [32], [32], [10.0], (64, 64))
+        _, inside = reproject_fragments(back, frustum, [32], [32], [10.0], (64, 64),
+                                        np.empty((7, 1)))
         assert not inside[0]
 
     @pytest.mark.parametrize("case", ["members", "behind", "edges", "empty"])
@@ -263,7 +265,8 @@ class TestReproject:
             cams = [frustum]
             px, py, depth = px[:0], py[:0], np.zeros(0)
         for cam in cams:
-            uvw, inside = reproject_fragments(cam, frustum, px, py, depth, res)
+            uvw, inside = reproject_fragments(cam, frustum, px, py, depth, res,
+                                              np.empty((7, len(depth))))
             want, want_inside = project_points(
                 frustum, _unproject_pixels(cam, px, py, depth, res))
             assert uvw.shape == want.shape == (len(depth), 3) and uvw.flags.f_contiguous

@@ -1,19 +1,25 @@
 """Bit-packed grids, quantization, froxelization, and the id map."""
 
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from froxelpvs.core import (Camera, TriScene, Vec3, build_viewcell_frustum, depth_to_w,
                             unproject_ndc)
-from froxelpvs.froxel import (_DEGEN_EPS, _MAX_PAIRS, SUPERSAMPLE, FroxelGrid,
+import froxelpvs
+from froxelpvs.froxel import (_DEGEN_EPS, SUPERSAMPLE, FroxelGrid,
                               _fragment_stream, clip_triangles_halfspace, froxel_id_map, froxelize,
                               grid_dims, interp_affine, iter_raster_chunks, quantize,
                               screen_triangles)
 from froxelpvs.scenegen import SceneGenConfig, frame_seed, generate_scene
 
-from conftest import PERSPECTIVE, default_cell, quad_at
+from conftest import PERSPECTIVE, default_cell, peak_mb, quad_at, raster_work_bytes
 
 
 class TestQuantize:
@@ -332,7 +338,8 @@ class TestFragmentStream:
         scene, cell = generate_scene(SceneGenConfig(seed=seed))
         frustum = build_viewcell_frustum(cell)
         for dims in ((32, 16, 24), (64, 64, 64)):
-            got = [np.concatenate(p) for p in zip(*_fragment_stream(scene, frustum, dims))]
+            got = [np.concatenate(p) for p in
+                   zip(*_copied(_fragment_stream(scene, frustum, dims)))]
             ref = [np.concatenate(p) for p in
                    zip(*_quantized_stream_reference(scene, frustum, dims))]
             assert len(got[0]) > 0
@@ -467,8 +474,14 @@ def _bbox_raster_reference(tris2d, width, height):
         yield gsel[inside], px[inside], py[inside], b1[inside], b2[inside]
 
 
+def _copied(chunks) -> list:
+    """Each chunk's arrays copied: a chunk is a view of the rasterizer's
+    working set, valid until the next one is drawn."""
+    return [tuple(a.copy() for a in chunk) for chunk in chunks]
+
+
 def _concat(chunks):
-    parts = list(zip(*chunks))
+    parts = list(zip(*_copied(chunks)))
     if not parts:
         return [np.zeros(0)] * 5
     return [np.concatenate(p) for p in parts]
@@ -571,9 +584,9 @@ class TestRasterizer:
                                       "offscreen"])
     def test_chunks_split_between_rows_within_budget(self, case, max_pairs):
         tris2d = _raster_cases()[case]
-        whole = list(iter_raster_chunks(tris2d, 36, 28, 1 << 40))
+        whole = _copied(iter_raster_chunks(tris2d, 36, 28, 1 << 40))
         assert len(whole) == 1
-        chunks = list(iter_raster_chunks(tris2d, 36, 28, max_pairs))
+        chunks = _copied(iter_raster_chunks(tris2d, 36, 28, max_pairs))
         assert len(chunks) > 1
         seen = set()
         for tri, px, py, b1, b2 in chunks:
@@ -590,7 +603,7 @@ class TestRasterizer:
 
     def test_froxelize_peak_memory_follows_chunk_budget(self):
         """A full-screen quad at 128^3 has 262k samples; the raster working
-        set stays a few chunk-sized arrays beside the grid itself."""
+        set stays one RasterWork beside the grid itself."""
         dims = (128, 128, 128)
         frustum = _exact_frustum()
         scene = _full_span_quad_scene(frustum, 0.5)
@@ -601,11 +614,60 @@ class TestRasterizer:
         finally:
             tracemalloc.stop()
         assert grid.to_dense()[:, :, 64].all()
-        # a cache-sized budget: a chunk's arrays of 8-byte elements fit in L2
-        assert _MAX_PAIRS <= 1 << 16
-        # the flat bool grid, its packed bits, and a bounded raster working set
-        bound = dims[0] * dims[1] * dims[2] * 5 // 4 + 32 * 8 * _MAX_PAIRS
+        # a cache-sized working set: it fits a 2 MiB L2
+        assert raster_work_bytes() <= 2 << 20
+        # the flat bool grid, its packed bits, the working set, and 64 KiB
+        # for the set-up of the scene's two triangles
+        bound = dims[0] * dims[1] * dims[2] * 9 // 8 + raster_work_bytes() + (64 << 10)
         assert peak < bound
+
+    def test_froxelize_working_set_does_not_grow_with_resolution(self):
+        """On the viewcell pool's scene 0 (1324 triangles) the raster rows
+        grow from 2943 at 32^3 to 12318 at 128^3; froxelize's peak beside
+        its grid stays within 0.25 MB, because batches bound the per-row
+        set-up."""
+        scene, cell = generate_scene(SceneGenConfig(seed=frame_seed(0, 0)))
+        frustum = build_viewcell_frustum(cell)
+        beside = [peak_mb(lambda: froxelize(scene, frustum, (n, n, n))) - n ** 3 * 9 / 8 / 2 ** 20
+                  for n in (32, 128)]
+        assert abs(beside[1] - beside[0]) <= 0.25
+
+    def test_froxelize_faults_do_not_depend_on_heap_history(self):
+        """Minor page faults per froxelize call are the same in a fresh
+        process and after it freed a 4 MiB block, which raises glibc's
+        dynamic mmap and trim thresholds; the working set is one block
+        reused by every chunk. (A 2 MiB free is too small to tell: a raster
+        that allocates its temporaries per chunk takes about 1100 faults per
+        call at 64^3 either way, and 16 after a 4 MiB free.)"""
+        code = textwrap.dedent("""
+            import resource, statistics, sys
+            import numpy as np
+            from froxelpvs.core import build_viewcell_frustum
+            from froxelpvs.froxel import froxelize
+            from froxelpvs.scenegen import SceneGenConfig, frame_seed, generate_scene
+
+            scene, cell = generate_scene(SceneGenConfig(seed=frame_seed(0, 0)))
+            frustum = build_viewcell_frustum(cell)
+
+            def faults():
+                counts = []
+                for _ in range(3):
+                    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                    froxelize(scene, frustum, (64, 64, 64))
+                    counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+                return statistics.median(counts)
+
+            froxelize(scene, frustum, (64, 64, 64))
+            fresh = faults()
+            block = np.ones(1 << 19)
+            del block
+            print(fresh, faults())
+        """)
+        src = str(Path(froxelpvs.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        fresh, after = map(float, out.stdout.split())
+        assert abs(fresh - after) <= 0.1 * max(fresh, after) + 32
 
     def test_clip_matches_polygon_loop(self, rng):
         tris = rng.normal(0.0, 1.0, (400, 3, 3))

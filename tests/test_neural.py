@@ -117,6 +117,13 @@ class TestPredictPvs:
         with pytest.raises(ValueError, match="tau"):
             predict_pvs(FroxelGrid((8, 8, 8)), net, tau)
 
+    def test_dims_not_divisible_by_d_raise_interleave_error(self):
+        """``interleave`` owns the rule that d divides every grid dim."""
+        net = PvsNet(ModelConfig.default(4, hidden=4))
+        with pytest.raises(ValueError, match=r"interleave factor 4 must divide grid dims "
+                                             r"\(8, 8, 6\)"):
+            predict_pvs(FroxelGrid((8, 8, 6)), net)
+
 
 def _he_net(d, kernels, seed, hidden=6):
     """He-init net with the given kernel sizes and random nonzero biases."""

@@ -9,12 +9,12 @@ import pytest
 
 from froxelpvs.core import Camera, TriScene, Vec3, build_viewcell_frustum, project_points
 from froxelpvs import oracle
-from froxelpvs.froxel import (_MAX_PAIRS, FroxelGrid, froxel_id_map, froxelize, interp_affine,
+from froxelpvs.froxel import (FroxelGrid, froxel_id_map, froxelize, interp_affine,
                               iter_raster_chunks, quantize, screen_triangles)
 from froxelpvs.oracle import OracleConfig, compute_gt_pvs, render_depth, sample_viewpoints
 from froxelpvs.scenegen import SceneGenConfig, generate_scene
 
-from conftest import default_cell, quad_at
+from conftest import default_cell, quad_at, raster_work_bytes
 
 
 class TestSampleViewpoints:
@@ -53,7 +53,8 @@ def _render_reference(scene, cam, w, h):
     """Depth and id buffers from every fragment at once: one lexsort by
     pixel, depth and id keeps each covered pixel's nearest, smallest id."""
     tris2d, invz, src = screen_triangles(scene, cam, w, h)
-    chunks = list(iter_raster_chunks(tris2d, w, h, max_pairs=1 << 40))
+    chunks = [tuple(a.copy() for a in chunk)
+              for chunk in iter_raster_chunks(tris2d, w, h, max_pairs=1 << 40)]
     tri, px, py, b1, b2 = chunks[0] if chunks else [np.zeros(0, int)] * 5
     depth = 1.0 / interp_affine(invz, tri, b1, b2)
     keep = depth <= cam.far
@@ -240,7 +241,7 @@ class TestComputeGtPvs:
 
     def test_peak_memory_follows_depth_buffer_and_chunk_budget(self):
         """Two 512^2 views: the working set is the flat depth buffer, the
-        grid and chunk-sized arrays, not every covered pixel at once."""
+        grid and one RasterWork, not every covered pixel at once."""
         scene, cell = generate_scene(SceneGenConfig(seed=4))
         dims = (128, 128, 32)
         tracemalloc.start()
@@ -251,9 +252,9 @@ class TestComputeGtPvs:
             tracemalloc.stop()
         assert gt.occupied_count() > 0
         w, h = 4 * dims[0], 4 * dims[1]
-        per_pixel = 32       # bytes per depth-buffer pixel
         grid = dims[0] * dims[1] * dims[2] * 9 // 8      # flat bool grid and its bits
-        assert peak < per_pixel * w * h + grid + 32 * 8 * _MAX_PAIRS
+        setup = 512 << 10    # per-triangle set-up of the scene's triangles
+        assert peak < 8 * w * h + grid + raster_work_bytes() + setup
 
     def test_determinism(self):
         scene, cell = generate_scene(SceneGenConfig(seed=8, count_range=(3, 5)))
