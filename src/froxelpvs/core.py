@@ -118,16 +118,6 @@ class TriScene:
     def __len__(self) -> int:
         return len(self.triangles)
 
-    def triangle_vertices(self) -> np.ndarray:
-        """Per-triangle vertex positions, shape (T, 3, 3)."""
-        return self.vertices[self.triangles]
-
-    def subset(self, keep_ids) -> "TriScene":
-        """Scene restricted to triangles whose primitive id is in ``keep_ids``."""
-        keep_ids = np.asarray(sorted(set(int(i) for i in keep_ids)), dtype=np.int64)
-        mask = np.isin(self.primitive_ids, keep_ids)
-        return TriScene(self.vertices, self.triangles[mask], self.primitive_ids[mask])
-
 
 class SceneBuilder:
     """Accumulates mesh fragments into one TriScene with per-triangle ids."""
@@ -285,49 +275,18 @@ def depth_to_w(camera: Camera, z):
     return (z - camera.near) / (camera.far - camera.near)
 
 
-def project_points(camera: Camera, points):
-    """Project world points into the camera's NDC cube.
-
-    Returns ``(uvw, inside)`` where uvw has shape (N, 3) and inside is a
-    boolean mask. Points behind the origin are flagged outside; their uvw
-    values are unspecified.
-    """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    d = pts - camera.origin
-    local = d @ camera.basis.T            # columns: x (right), y (up), z (forward)
-    x, y, z = local[:, 0], local[:, 1], local[:, 2]
-    ahead = z > 0
-    zsafe = np.where(ahead, z, 1.0)
-    h = camera.half_extent
-    u = 0.5 + 0.5 * x / (zsafe * h)
-    v = 0.5 + 0.5 * y / (zsafe * h)
-    w = depth_to_w(camera, zsafe)
-    uvw = np.column_stack([u, v, w])
-    inside = ahead & (u >= 0) & (u <= 1) & (v >= 0) & (v <= 1) & (w >= 0) & (w <= 1)
-    return uvw, inside
-
-
-def unproject_ndc(camera: Camera, uvw) -> np.ndarray:
-    """Inverse of :func:`project_points` for in-range coordinates."""
-    uvw = np.asarray(uvw, dtype=np.float64).reshape(-1, 3)
-    z = camera.near + uvw[:, 2] * (camera.far - camera.near)
-    h = camera.half_extent
-    x = (2.0 * uvw[:, 0] - 1.0) * h * z
-    y = (2.0 * uvw[:, 1] - 1.0) * h * z
-    return camera.origin + np.column_stack([x, y, z]) @ camera.basis
-
-
 def reproject_fragments(camera: Camera, frustum: Camera, px, py, depth, resolution, out):
     """Unproject depth-buffer fragments of ``camera`` and project them into
-    ``frustum``; the result equals :func:`project_points` of the fragments'
-    world positions bit for bit.
+    ``frustum``'s NDC cube, bit for bit as the two steps would (reference:
+    ``project_points`` in ``tests/reference.py``).
 
     ``px``/``py`` are integer pixel coordinates inside a (width, height)
     buffer and ``depth`` is forward depth. A fragment sits at the pixel
     center. ``out`` is a C-contiguous float64 array of shape (7, m), m at
     least the fragment count, that the function works in. Returns
-    ``(uvw, inside)`` like :func:`project_points`, both views of ``out``,
-    with ``uvw`` column-major so each axis is a contiguous vector.
+    ``(uvw, inside)``, both views of ``out``: (n, 3) coordinates,
+    column-major so each axis is a contiguous vector, and a mask that is
+    true where the point lies ahead of ``frustum`` with u, v, w in [0, 1].
     """
     w, h = resolution
     he = camera.half_extent
@@ -349,7 +308,7 @@ def reproject_fragments(camera: Camera, frustum: Camera, px, py, depth, resoluti
         pts[:, a] += o
         pts[:, a] -= f
     local = np.matmul(pts, np.ascontiguousarray(frustum.basis.T), out=cam)
-    # project_points in place; uvw takes over the buffer of pts, column-major
+    # the projection in place; uvw takes over the buffer of pts, column-major
     uvw = pts.reshape(3, -1).T
     z = local[:, 2]
     inside, test = (out[6].view(np.bool_)[k * m:k * m + n] for k in (0, 1))
@@ -377,27 +336,41 @@ def load_scene(path) -> TriScene:
 
     Faces with more than three vertices are fan-triangulated; other record
     types, groups (``g``) among them, are ignored. A ``v`` record with fewer
-    than 3 coordinates or an ``f`` record with fewer than 3 indices raises
-    ValueError naming its line.
+    than 3 coordinates, an ``f`` record with fewer than 3 indices, a
+    non-numeric or non-finite value and a face index outside the file's
+    vertices raise ValueError naming ``path:line``.
     """
-    verts = []
-    tris = []
+    verts, tris, face_lines = [], [], []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         parts = line.split()
-        if not parts or parts[0].startswith("#"):
+        if not parts or parts[0] not in ("v", "f"):
             continue
-        if parts[0] in ("v", "f") and len(parts) < 4:
+        if len(parts) < 4:
             raise ValueError(f"{path}:{lineno}: {parts[0]!r} record needs 3 values, "
                              f"got {len(parts) - 1}")
+        try:
+            if parts[0] == "v":
+                xyz = [float(parts[1]), float(parts[2]), float(parts[3])]
+            else:
+                idx = [int(tok.split("/")[0]) - 1 for tok in parts[1:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {parts[0]!r} record holds a non-numeric "
+                             f"value ({exc})") from None
         if parts[0] == "v":
-            verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
-        elif parts[0] == "f":
-            idx = [int(tok.split("/")[0]) - 1 for tok in parts[1:]]
+            if not all(math.isfinite(c) for c in xyz):
+                raise ValueError(f"{path}:{lineno}: 'v' record holds a non-finite value")
+            verts.append(xyz)
+        else:
             for k in range(1, len(idx) - 1):
                 tris.append([idx[0], idx[k], idx[k + 1]])
+                face_lines.append(lineno)
 
-    return TriScene(np.asarray(verts, dtype=np.float64).reshape(-1, 3),
-                    np.asarray(tris, dtype=np.int64).reshape(-1, 3))
+    tris = np.asarray(tris, dtype=np.int64).reshape(-1, 3)
+    bad = np.flatnonzero(((tris < 0) | (tris >= len(verts))).any(axis=1))
+    if len(bad):
+        raise ValueError(f"{path}:{face_lines[bad[0]]}: face index out of range "
+                         f"for {len(verts)} vertices")
+    return TriScene(np.asarray(verts, dtype=np.float64).reshape(-1, 3), tris)
 
 
 def save_scene(path, scene: TriScene):

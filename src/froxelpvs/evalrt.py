@@ -95,17 +95,3 @@ def write_metrics_csv(path, records):
         lines.append(f"{r.frame},{r.fnr:.9g},{r.fpr:.9g},{r.per:.9g},"
                      f"{r.tp},{r.fp},{r.fn},{r.gtp}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_metrics_csv(path) -> list:
-    rows = Path(path).read_text().splitlines()
-    if not rows or rows[0] != METRICS_HEADER:
-        raise ValueError(f"{path}: not a metrics CSV")
-    records = []
-    for row in rows[1:]:
-        f = row.split(",")
-        records.append(MetricsRecord(int(f[0]), float(f[1]), float(f[2]), float(f[3]),
-                                     int(f[4]), int(f[5]), int(f[6]), int(f[7]),
-                                     gtp_zero=int(f[7]) == 0))
-    return records
-

@@ -12,7 +12,7 @@ block of ten 8-byte arrays of chunk length, the sample offsets and ten
 per-row arrays over batches of ``_MAX_ROWS`` = 4096 rows, 1 MiB in all,
 with two compaction index arrays of at most 64 KiB per chunk. That fits a
 2 MiB L2 cache at any grid resolution or triangle size (see
-:func:`iter_raster_chunks`). Only :class:`FroxelGrid` reads or writes
+:class:`RasterWork`). Only :class:`FroxelGrid` reads or writes
 packed bits, and only :func:`grid_dims` checks dims.
 """
 
@@ -51,23 +51,6 @@ def grid_dims(dims) -> tuple:
     return nx, ny, nz
 
 
-def quantize(uvw, dims):
-    """Map NDC coordinates in [0,1]^3 to froxel indices.
-
-    Applies floor(u * N) per axis with the exact upper boundary (1.0)
-    clamped back into range. Accepts a single triple or an (N, 3) array and
-    returns int64 indices of the same leading shape. On finite input,
-    clipping u * N to [0, N - 1] and truncating equals the floor, clipped.
-    """
-    arr = np.asarray(uvw, dtype=np.float64)
-    scalar = arr.ndim == 1
-    arr = np.atleast_2d(arr)
-    idx = np.empty(arr.shape, dtype=np.int64)
-    for a, n in enumerate(int(d) for d in dims):
-        np.clip(arr[..., a] * float(n), 0, n - 1, out=idx[..., a], casting="unsafe")
-    return idx[0] if scalar else idx
-
-
 class FroxelGrid:
     """Binary occupancy over an N_x x N_y x N_z frustum-aligned grid."""
 
@@ -85,26 +68,11 @@ class FroxelGrid:
                 raise ValueError("bit buffer size does not match dims")
 
     # -- indexing ----------------------------------------------------------
-    def _check(self, x, y, z):
-        nx, ny, nz = self.dims
-        if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
-            raise IndexError(f"froxel coordinate {(x, y, z)} out of range for dims {self.dims}")
-
     def _locate(self, x, y, z):
         """Byte and bit of froxel (x, y, z), on ints or arrays; (f, 0, 0) locates
         flat index f. With N_x a multiple of 8, f sits in byte f >> 3, bit f & 7."""
         flat = x + self.dims[0] * (y + self.dims[1] * z)
         return flat >> 3, flat & 7
-
-    def set(self, x: int, y: int, z: int):
-        self._check(x, y, z)
-        byte, bit = self._locate(x, y, z)
-        self.bits[byte] |= np.uint8(1 << bit)
-
-    def get(self, x: int, y: int, z: int) -> int:
-        self._check(x, y, z)
-        byte, bit = self._locate(x, y, z)
-        return int(self.bits[byte] >> bit) & 1
 
     def set_many(self, coords):
         """Set a batch of (N, 3) integer froxel coordinates."""
@@ -241,15 +209,17 @@ def clip_triangles_halfspace(tris: np.ndarray, dist: np.ndarray):
 
 def _affine_table(attrs: np.ndarray) -> np.ndarray:
     """(3, T) rows a0, a1 - a0 and a2 - a0 of per-vertex attributes (T, 3):
-    the per-triangle terms that :func:`interp_affine` gathers per sample."""
+    the per-triangle terms that :func:`_interp_into` gathers per sample."""
     a0 = attrs[:, 0]
     return np.stack([a0, attrs[:, 1] - a0, attrs[:, 2] - a0])
 
 
 def _interp_into(out, tmp, table, tri, b1, b2):
-    """:func:`interp_affine` from an :func:`_affine_table`, into ``out``;
-    ``tmp`` is scratch of the same length. Every sum and product equals the
-    allocating form's bit for bit."""
+    """Interpolate attributes over samples of triangles ``tri`` with the
+    weights ``b1``, ``b2`` of vertices 1 and 2 from their :func:`_affine_table`
+    into ``out``, ``tmp`` as scratch: (a1 - a0) b1 + a0 + (a2 - a0) b2, which
+    equals a0 + b1 (a1 - a0) + b2 (a2 - a0) bit for bit and keeps constant
+    attributes exact (reference: ``interp_affine`` in ``tests/reference.py``)."""
     table[1].take(tri, out=out, mode="wrap")
     out *= b1
     table[0].take(tri, out=tmp, mode="wrap")
@@ -257,16 +227,6 @@ def _interp_into(out, tmp, table, tri, b1, b2):
     table[2].take(tri, out=tmp, mode="wrap")
     tmp *= b2
     out += tmp
-
-
-def interp_affine(attrs: np.ndarray, tri, b1, b2):
-    """Interpolate per-vertex attributes (T, 3) over samples of triangles
-    ``tri`` with the weights of vertices 1 and 2; anchoring at vertex 0
-    keeps constant attributes bit-exact. The vertex differences are taken
-    per triangle and gathered per sample."""
-    out, tmp = np.empty(len(tri)), np.empty(len(tri))
-    _interp_into(out, tmp, _affine_table(attrs), tri, b1, b2)
-    return out
 
 
 class RasterWork:
@@ -278,14 +238,13 @@ class RasterWork:
     leaves rows 5 to the last free, so a chunk's consumer works in those
     with ``out=`` and views of the chunk's length. :attr:`ints` reads the
     rows as int64, and ``masks[i, k]`` is the k-th of the eight bool arrays
-    of chunk length in the bytes of row i. Chunks hold at most ``max_pairs``
-    candidate samples, or one raster row, and batches at most
-    ``row_budget`` rows: ``_MAX_ROWS``, or ``max_pairs // 2`` if larger, so
-    that a budget covering the whole raster keeps it one chunk. The block
-    is sized to the first triangle set that needs it, capped at those
-    budgets, and grows (batches at least twofold) only when a later set
-    needs more; per chunk the pass allocates only the index array of each
-    compaction.
+    of chunk length in the bytes of row i. :meth:`chunks` cuts chunks of
+    at most ``max_pairs`` samples and batches of at most ``row_budget``
+    rows: ``_MAX_ROWS``, or ``max_pairs // 2`` if larger, so that a budget
+    covering the whole raster keeps it one chunk. The block is sized to
+    the first triangle set that needs it, capped at those budgets, and
+    grows (batches at least twofold) only when a later set needs more; per
+    chunk the pass allocates only the index array of each compaction.
 
     At the default budgets the block is at most (10 + 1) * 64 KiB +
     10 * 32 KiB = 1 MiB, whatever the resolution and the triangles.
@@ -318,7 +277,29 @@ class RasterWork:
         self._per_row = block[(_CHUNK_ROWS + 1) * m:].reshape(_ROW_ARRAYS, b)
 
     def chunks(self, tris2d: np.ndarray, width: int, height: int):
-        """:func:`iter_raster_chunks` in this working set."""
+        """Rasterize 2D triangles at integer+0.5 sample positions.
+
+        ``tris2d`` is (T, 3, 2) screen positions in a ``width`` x ``height``
+        raster. Yields chunks ``(tri_index, px, py, b1, b2)`` of interior
+        samples, where tri_index addresses ``tris2d`` rows and b1/b2 are the
+        barycentric weights of vertices 1 and 2. Coverage uses inclusive
+        (>= 0) edge tests.
+
+        Candidates are generated per bounding-box row, from the x-span that
+        the three barycentric half-planes leave at the row's sample y
+        (Pineda, SIGGRAPH 1988), widened by one pixel on each side; the
+        inside test then runs on them unchanged, so the output equals
+        testing every pixel of the box. Samples come out triangle by
+        triangle, row by row, left to right.
+
+        The rows of all triangles, in that order, are cut into batches of at
+        most :attr:`row_budget` rows, whose spans are found in one pass;
+        each batch's rows are then cut into chunks of at most
+        :attr:`max_pairs` candidate samples, so a large triangle is split
+        between rows, and a row longer than the budget is a chunk of its
+        own. The chunks are views into rows 0-4 of this working set, valid
+        until the next chunk is drawn; copy a chunk to keep it.
+        """
         tris2d = np.asarray(tris2d, dtype=np.float64)
         if len(tris2d) == 0:
             return
@@ -505,36 +486,6 @@ class RasterWork:
             start, base = stop, end
 
 
-def iter_raster_chunks(tris2d: np.ndarray, width: int, height: int,
-                       max_pairs: int = _MAX_PAIRS):
-    """Rasterize 2D triangles at integer+0.5 sample positions.
-
-    ``tris2d`` is (T, 3, 2) screen positions. Yields chunks
-    ``(tri_index, px, py, b1, b2)`` of interior samples, where tri_index
-    addresses ``tris2d`` rows and b1/b2 are the barycentric weights of
-    vertices 1 and 2. Coverage uses inclusive (>= 0) edge tests.
-
-    Candidates are generated per bounding-box row, from the x-span that the
-    three barycentric half-planes leave at the row's sample y (Pineda,
-    SIGGRAPH 1988), widened by one pixel on each side; the inside test then
-    runs on them unchanged, so the output equals testing every pixel of the
-    box. Samples come out triangle by triangle, row by row, left to right.
-
-    The rows of all triangles, in that order, are cut into batches of at
-    most 4096 rows (``RasterWork.row_budget``), whose spans are found in one
-    pass; each batch's rows are then cut into chunks of at most
-    ``max_pairs`` candidate samples, so a large triangle is split between
-    rows, and a row longer than the budget is a chunk of its own. Past the
-    per-triangle set-up everything runs in one :class:`RasterWork`: ten
-    8-byte arrays of chunk length, the sample offsets and ten per-row
-    arrays, 1 MiB at the default 2^13 samples, and per chunk the index
-    array of the inside test. That fits a 2 MiB L2 cache at any resolution
-    and triangle size. The chunks are views into the working set, valid
-    until the next chunk is drawn; copy a chunk to keep it.
-    """
-    return RasterWork(max_pairs).chunks(tris2d, width, height)
-
-
 def screen_triangles(scene: TriScene, camera: Camera, width: int, height: int):
     """Project scene triangles to ``camera``'s width x height screen, with
     clipping at the near plane.
@@ -559,19 +510,15 @@ def screen_triangles(scene: TriScene, camera: Camera, width: int, height: int):
     return np.stack([u, v], axis=2), 1.0 / zc, src
 
 
-def _fragment_stream(scene: TriScene, frustum: Camera, dims):
-    """:func:`_fragments` in a working set of its own."""
-    return _fragments(scene, frustum, dims, RasterWork(_MAX_PAIRS))
-
-
 def _fragments(scene: TriScene, frustum: Camera, dims, work: RasterWork):
     """Rasterize the scene through the viewcell frustum at ``SUPERSAMPLE``
     times the froxel resolution in x and y; yields chunks ``(flat froxel
     indices, source triangle)``, where flat = x + N_x * (y + N_y * z).
 
     x and y are the sample's pixel divided by ``SUPERSAMPLE``, which equals
-    :func:`quantize` of its center: ``(px + 0.5) / sx * nx`` lies at least
-    1/8 from an integer. z is ``floor(w * N_z)``, clamped at w = 1.
+    floor(u * N_x) of its center u = (px + 0.5) / sx, because u * N_x lies
+    at least 1/8 from an integer. z is ``floor(w * N_z)``, clamped at w = 1
+    (reference for all three: ``quantize`` in ``tests/reference.py``).
 
     The chunks are views into rows 3 and 5 of ``work``, valid until the
     next chunk; rows 0-2, 4, 6 and 7 are free for the consumer.
@@ -625,7 +572,7 @@ def froxelize(scene: TriScene, frustum: Camera, dims) -> FroxelGrid:
     """
     nx, ny, nz = dims = grid_dims(dims)
     occupied = np.zeros(nx * ny * nz, dtype=bool)
-    for flat, _src in _fragment_stream(scene, frustum, dims):
+    for flat, _src in _fragments(scene, frustum, dims, RasterWork(_MAX_PAIRS)):
         occupied[flat] = True
     return FroxelGrid.from_flat(dims, occupied, role="geometry")
 

@@ -352,19 +352,29 @@ class PvsNet:
             raise ValueError(f"{path}: unsupported FPVW version {version}")
         if 12 + textlen > len(raw):
             raise ValueError(f"{path}: truncated FPVW header")
-        text = raw[12:12 + textlen].decode()
+        try:
+            text = raw[12:12 + textlen].decode()
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: checkpoint header is not UTF-8 text") from None
         d = None
         specs = []
-        for line in text.splitlines():
-            key, val = line.split("=", 1)
-            if key == "d":
-                d = int(val)
-            elif key == "layer":
-                k, cin, cout, act = val.split(":")
-                specs.append(ConvSpec(int(k), int(cin), int(cout), act))
+        for lineno, line in enumerate(text.splitlines(), 1):
+            try:
+                key, val = line.split("=", 1)
+                if key == "d":
+                    d = int(val)
+                elif key == "layer":
+                    k, cin, cout, act = val.split(":")
+                    specs.append(ConvSpec(int(k), int(cin), int(cout), act))
+            except ValueError as exc:
+                raise ValueError(f"{path}: checkpoint header line {lineno} {line!r}: "
+                                 f"{exc}") from None
         if d is None:
             raise ValueError(f"{path}: checkpoint header has no d= line")
-        cfg = ModelConfig(d, specs)
+        try:
+            cfg = ModelConfig(d, specs)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         off = 12 + textlen
         need = 4 * sum((s.kernel ** 3 * s.in_channels + 1) * s.out_channels for s in specs)
         if len(raw) - off != need:

@@ -177,7 +177,8 @@ def _mark_covered(seen: np.ndarray, zflat: np.ndarray, camera: Camera, frustum: 
     rows of ``work``, 640 KiB: three hold the slice's depths and pixel
     coordinates, then its froxel indices, and seven the reprojection. Each
     slice allocates only the index arrays of its covered and its inside
-    pixels. Quantization equals :func:`~froxelpvs.froxel.quantize`."""
+    pixels. Each axis quantizes in place as u * N clipped to [0, N - 1],
+    truncated (reference: ``quantize`` in ``tests/reference.py``)."""
     nx, ny, _ = dims
     w, h = DEPTH_SCALE * nx, DEPTH_SCALE * ny
     step = min(work.max_pairs, len(zflat))

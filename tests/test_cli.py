@@ -231,3 +231,39 @@ def test_gt_writes_the_frame_grids(tmp_path, capsys):
                                     OracleConfig(viewpoints=4))
     assert FroxelGrid.load(out) == want_gt and want_gt.occupied_count() > 0
     assert FroxelGrid.load(geo) == want_geo
+
+
+@pytest.mark.parametrize("record", ["v 0 1 x", "v 0 nan 0", "v inf 0 0", "f 1 2 a",
+                                    "f 0 1 2", "f 1 2 9"])
+def test_malformed_scene_record_names_file_and_line(record, tmp_path, capsys):
+    """A non-numeric or non-finite value or an out-of-range face index
+    exits 3 with the scene's path and the record's line, as a short record
+    does."""
+    path, out = tmp_path / "scene.obj", tmp_path / "gt.fpvs"
+    path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n{record}\n")
+    rc = main(["gt", "--scene", str(path), "--dims", "8", "--viewpoints", "1",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION and "Traceback" not in err
+    assert f"{path}:5:" in err and not out.exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (b"layer=", b"layer ", "checkpoint header line 2 'layer "),
+    (b"d=2", b"d=\xff", "checkpoint header is not UTF-8 text"),
+    (b"layer=3:8:", b"layer=3:7:", "first layer must take d^3 = 8 channels"),
+])
+def test_malformed_checkpoint_header_names_file_and_line(old, new, message, tmp_path, capsys):
+    """A checkpoint header line without ``=``, a header that is not text
+    and layers that do not fit d exit 3 with the checkpoint's path and, for
+    a bad line, its number."""
+    geometry, checkpoint = tmp_path / "geo.fpvs", tmp_path / "net.fpvw"
+    out = tmp_path / "pred.fpvs"
+    FroxelGrid((16, 16, 16)).save(geometry)
+    PvsNet(ModelConfig.default(2, hidden=4)).save(checkpoint)
+    checkpoint.write_bytes(checkpoint.read_bytes().replace(old, new, 1))
+    rc = main(["infer", "--geometry", str(geometry), "--checkpoint", str(checkpoint),
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION and "Traceback" not in err
+    assert f"{checkpoint}: {message}" in err and not out.exists()

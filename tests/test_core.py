@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from froxelpvs.core import (Camera, TriScene, Vec3, ViewCell, build_viewcell_frustum,
-                            load_scene, project_points, reproject_fragments, save_scene,
-                            unproject_ndc)
+                            load_scene, reproject_fragments, save_scene)
 from froxelpvs.oracle import OracleConfig, sample_viewpoints
 
 from conftest import default_cell
+from reference import project_points, subset, unproject_ndc
 
 
 def _frustum(fov=90.0, near=1.0, far=21.0):
@@ -297,7 +297,7 @@ class TestTriScene:
         verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
         tris = np.array([[0, 1, 2], [1, 3, 2]])
         scene = TriScene(verts, tris, primitive_ids=[7, 9])
-        sub = scene.subset({9})
+        sub = subset(scene, {9})
         assert len(sub) == 1 and sub.primitive_ids[0] == 9
 
 

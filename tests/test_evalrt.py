@@ -6,18 +6,20 @@ import pytest
 
 from froxelpvs.core import TriScene, build_viewcell_frustum
 from froxelpvs.evalrt import (MetricsRecord, cull, froxel_metrics, pixel_error_rate,
-                              read_metrics_csv, write_metrics_csv)
-from froxelpvs.froxel import FroxelGrid, FroxelIdMap, _fragment_stream, froxel_id_map
+                              write_metrics_csv)
+from froxelpvs.froxel import (_MAX_PAIRS, FroxelGrid, FroxelIdMap, RasterWork, _fragments,
+                              froxel_id_map)
 from froxelpvs.oracle import OracleConfig, render_depth, sample_viewpoints
 from froxelpvs.scenegen import SceneGenConfig, generate_scene
 
 from conftest import PERSPECTIVE, default_cell, quad_at
+from reference import froxel_bit, read_metrics_csv, subset
 
 
 def reference_id_map(scene, frustum, dims):
     nx, ny, _ = dims
     mapping = {}
-    for flat, src in _fragment_stream(scene, frustum, dims):
+    for flat, src in _fragments(scene, frustum, dims, RasterWork(_MAX_PAIRS)):
         for f, pid in zip(flat.tolist(), scene.primitive_ids[src].tolist()):
             mapping.setdefault((f % nx, f // nx % ny, f // (nx * ny)), set()).add(pid)
     return mapping
@@ -26,7 +28,7 @@ def reference_id_map(scene, frustum, dims):
 def reference_cull(pvs, id_map):
     kept = set()
     for coord, ids in id_map.items():
-        if pvs.get(*coord):
+        if froxel_bit(pvs, *coord):
             kept.update(ids)
     return kept
 
@@ -157,7 +159,7 @@ def two_render_per(scene, camera, pvs, id_map, resolution):
     primitives and count the pixels whose coverage or id differ."""
     kept = cull(scene, pvs, id_map)
     full = render_depth(scene, camera, resolution)
-    culled = render_depth(scene.subset(kept), camera, resolution)
+    culled = render_depth(subset(scene, kept), camera, resolution)
     coverage_differs = np.isfinite(full.depth) != np.isfinite(culled.depth)
     return float((coverage_differs | (full.prim != culled.prim)).mean())
 

@@ -10,16 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from froxelpvs.core import (Camera, TriScene, Vec3, build_viewcell_frustum, depth_to_w,
-                            unproject_ndc)
+from froxelpvs.core import Camera, TriScene, Vec3, build_viewcell_frustum, depth_to_w
 import froxelpvs
-from froxelpvs.froxel import (_DEGEN_EPS, SUPERSAMPLE, FroxelGrid,
-                              _fragment_stream, clip_triangles_halfspace, froxel_id_map, froxelize,
-                              grid_dims, interp_affine, iter_raster_chunks, quantize,
-                              screen_triangles)
+from froxelpvs.froxel import (_DEGEN_EPS, _MAX_PAIRS, SUPERSAMPLE, FroxelGrid, RasterWork,
+                              _fragments, clip_triangles_halfspace, froxel_id_map, froxelize,
+                              grid_dims, screen_triangles)
 from froxelpvs.scenegen import SceneGenConfig, frame_seed, generate_scene
 
 from conftest import PERSPECTIVE, default_cell, peak_mb, quad_at, raster_work_bytes
+from reference import froxel_bit, interp_affine, quantize, set_froxel, unproject_ndc
 
 
 class TestQuantize:
@@ -62,31 +61,28 @@ class TestQuantize:
 class TestFroxelGrid:
     def test_bit_packing_layout(self):
         grid = FroxelGrid((16, 4, 4))
-        grid.set(0, 0, 0)
-        grid.set(3, 0, 0)
+        grid.set_many([[0, 0, 0], [3, 0, 0]])
         assert grid.bits[0] == 0b00001001
 
     def test_set_get(self):
         grid = FroxelGrid((16, 4, 4))
-        grid.set(11, 2, 3)
-        assert grid.get(11, 2, 3) == 1
-        assert grid.get(11, 2, 2) == 0
+        grid.set_many([[11, 2, 3]])
+        assert froxel_bit(grid, 11, 2, 3) == 1
+        assert froxel_bit(grid, 11, 2, 2) == 0
+        assert grid.at([11 + 16 * (2 + 4 * 3), 11 + 16 * (2 + 4 * 2)]).tolist() == [True, False]
 
     def test_set_idempotent(self):
         grid = FroxelGrid((16, 4, 4))
-        grid.set(5, 1, 2)
+        grid.set_many([[5, 1, 2]])
         snapshot = grid.bits.copy()
-        grid.set(5, 1, 2)
+        grid.set_many([[5, 1, 2]])
         assert np.array_equal(grid.bits, snapshot)
 
     def test_out_of_range_rejected(self):
         grid = FroxelGrid((16, 4, 4))
-        with pytest.raises(IndexError):
-            grid.set(16, 0, 0)
-        with pytest.raises(IndexError):
-            grid.get(0, -1, 0)
-        with pytest.raises(IndexError):
-            grid.set_many(np.array([[0, 0, 4]]))
+        for coord in ([16, 0, 0], [0, -1, 0], [0, 0, 4]):
+            with pytest.raises(IndexError):
+                grid.set_many(np.array([coord]))
 
     def test_dims_must_be_multiple_of_eight(self):
         with pytest.raises(ValueError):
@@ -100,7 +96,7 @@ class TestFroxelGrid:
         assert grid.occupied_count() == int(dense.sum())
         xs, ys, zs = np.nonzero(dense)
         for i in range(0, len(xs), max(1, len(xs) // 50)):
-            assert grid.get(xs[i], ys[i], zs[i]) == 1
+            assert froxel_bit(grid, xs[i], ys[i], zs[i]) == 1
 
     def test_set_many_matches_loop(self, rng):
         dims = (24, 6, 5)
@@ -111,7 +107,7 @@ class TestFroxelGrid:
         a.set_many(coords)
         b = FroxelGrid(dims)
         for x, y, z in coords:
-            b.set(x, y, z)
+            set_froxel(b, x, y, z)
         assert a == b
 
     @pytest.mark.parametrize("dims", [(16, 3, 5), (8, 1, 1), (24, 6, 2)])
@@ -126,7 +122,7 @@ class TestFroxelGrid:
         cells = rng.permutation(flat.size)
         assert np.array_equal(grid.at(cells), flat[cells])
         x, y, z = np.unravel_index(cells, dims, order="F")
-        assert [grid.get(*c) for c in zip(x, y, z)] == flat[cells].astype(int).tolist()
+        assert [froxel_bit(grid, *c) for c in zip(x, y, z)] == flat[cells].astype(int).tolist()
 
     def test_from_flat_rejects_wrong_length(self):
         with pytest.raises(ValueError):
@@ -270,7 +266,7 @@ class TestFroxelize:
         """Froxel centers on the quad plane verify layer membership."""
         frustum = _exact_frustum()
         scene = _full_span_quad_scene(frustum, 0.5)
-        tv = scene.triangle_vertices()
+        tv = scene.vertices[scene.triangles]
         centers = []
         for ix in range(16):
             for iy in range(16):
@@ -308,7 +304,7 @@ def _quantized_stream_reference(scene, frustum, dims):
     sx, sy = SUPERSAMPLE * nx, SUPERSAMPLE * ny
     tris2d, invz, src = screen_triangles(scene, frustum, sx, sy)
     wv = depth_to_w(frustum, 1.0 / invz)
-    for tri, px, py, b1, b2 in iter_raster_chunks(tris2d, sx, sy):
+    for tri, px, py, b1, b2 in RasterWork(_MAX_PAIRS).chunks(tris2d, sx, sy):
         a = invz[tri]
         inv = a[:, 0] + b1 * (a[:, 1] - a[:, 0]) + b2 * (a[:, 2] - a[:, 0])
         c1, c2 = b1 * a[:, 1] / inv, b2 * a[:, 2] / inv
@@ -339,7 +335,7 @@ class TestFragmentStream:
         frustum = build_viewcell_frustum(cell)
         for dims in ((32, 16, 24), (64, 64, 64)):
             got = [np.concatenate(p) for p in
-                   zip(*_copied(_fragment_stream(scene, frustum, dims)))]
+                   zip(*_copied(_fragments(scene, frustum, dims, RasterWork(_MAX_PAIRS))))]
             ref = [np.concatenate(p) for p in
                    zip(*_quantized_stream_reference(scene, frustum, dims))]
             assert len(got[0]) > 0
@@ -369,7 +365,7 @@ class TestFragmentStream:
         tris2d, _, _ = screen_triangles(scene, frustum, SUPERSAMPLE * 8, SUPERSAMPLE * 8)
         assert tris2d[0, 0].tolist() == [16.5, 16.5]
         key = (16 // SUPERSAMPLE, 16 // SUPERSAMPLE, 7)
-        assert froxelize(scene, frustum, (8, 8, 8)).get(*key) == 1
+        assert froxelize(scene, frustum, (8, 8, 8)).to_dense()[key]
         assert key in froxel_id_map(scene, frustum, (8, 8, 8))
 
 
@@ -416,7 +412,7 @@ class TestIdMap:
         pids = scene.primitive_ids
         lo, span = int(pids.min()), int(pids.max() - pids.min()) + 1
         chunks = [np.unique(flat * span + pids[src] - lo)
-                  for flat, src in _fragment_stream(scene, frustum, dims)]
+                  for flat, src in _fragments(scene, frustum, dims, RasterWork(_MAX_PAIRS))]
         every = np.concatenate(chunks)
         keys = np.unique(every)
         assert len(keys) < len(every)       # keys repeat across chunks
@@ -434,7 +430,7 @@ class TestIdMap:
 
 def _bbox_raster_reference(tris2d, width, height):
     """Tests every pixel of each triangle's bounding box, with the same
-    inside test as :func:`iter_raster_chunks`, in one chunk; only the
+    inside test as :meth:`RasterWork.chunks`, in one chunk; only the
     concatenated output of the rasterizer is compared with it."""
     tris2d = np.asarray(tris2d, dtype=np.float64)
     if len(tris2d) == 0:
@@ -573,7 +569,7 @@ class TestRasterizer:
                                       "offscreen"])
     def test_row_spans_match_bbox_enumeration(self, case, max_pairs):
         tris2d = _raster_cases()[case]
-        got = _concat(iter_raster_chunks(tris2d, 36, 28, max_pairs))
+        got = _concat(RasterWork(max_pairs).chunks(tris2d, 36, 28))
         ref = _concat(_bbox_raster_reference(tris2d, 36, 28))
         assert len(ref[0]) > 0
         for a, b in zip(got, ref):
@@ -584,9 +580,9 @@ class TestRasterizer:
                                       "offscreen"])
     def test_chunks_split_between_rows_within_budget(self, case, max_pairs):
         tris2d = _raster_cases()[case]
-        whole = _copied(iter_raster_chunks(tris2d, 36, 28, 1 << 40))
+        whole = _copied(RasterWork(1 << 40).chunks(tris2d, 36, 28))
         assert len(whole) == 1
-        chunks = _copied(iter_raster_chunks(tris2d, 36, 28, max_pairs))
+        chunks = _copied(RasterWork(max_pairs).chunks(tris2d, 36, 28))
         assert len(chunks) > 1
         seen = set()
         for tri, px, py, b1, b2 in chunks:

@@ -7,14 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from froxelpvs.core import Camera, TriScene, Vec3, build_viewcell_frustum, project_points
+from froxelpvs.core import Camera, TriScene, Vec3, build_viewcell_frustum
 from froxelpvs import oracle
-from froxelpvs.froxel import (FroxelGrid, froxel_id_map, froxelize, interp_affine,
-                              iter_raster_chunks, quantize, screen_triangles)
+from froxelpvs.froxel import (_MAX_PAIRS, FroxelGrid, RasterWork, froxel_id_map, froxelize,
+                              screen_triangles)
 from froxelpvs.oracle import OracleConfig, compute_gt_pvs, render_depth, sample_viewpoints
 from froxelpvs.scenegen import SceneGenConfig, generate_scene
 
 from conftest import default_cell, quad_at, raster_work_bytes
+from reference import interp_affine, project_points, quantize
 
 
 class TestSampleViewpoints:
@@ -54,7 +55,7 @@ def _render_reference(scene, cam, w, h):
     pixel, depth and id keeps each covered pixel's nearest, smallest id."""
     tris2d, invz, src = screen_triangles(scene, cam, w, h)
     chunks = [tuple(a.copy() for a in chunk)
-              for chunk in iter_raster_chunks(tris2d, w, h, max_pairs=1 << 40)]
+              for chunk in RasterWork(1 << 40).chunks(tris2d, w, h)]
     tri, px, py, b1, b2 = chunks[0] if chunks else [np.zeros(0, int)] * 5
     depth = 1.0 / interp_affine(invz, tri, b1, b2)
     keep = depth <= cam.far
@@ -112,8 +113,8 @@ class TestRenderDepth:
         scene = TriScene(np.tile(v, (n, 1)), np.vstack([t + 4 * i for i in range(n)]),
                          primitive_ids=np.repeat(ids, 2))
         buf = render_depth(scene, cam, (256, 256))
-        assert len(list(iter_raster_chunks(screen_triangles(scene, cam, 256, 256)[0],
-                                           256, 256))) > n
+        assert len(list(RasterWork(_MAX_PAIRS).chunks(screen_triangles(scene, cam, 256, 256)[0],
+                                                      256, 256))) > n
         assert np.isfinite(buf.depth).all()
         assert (buf.prim == min(ids)).all()
 
@@ -128,8 +129,8 @@ class TestRenderDepth:
             depth, prim = _render_reference(scene, cam, 320, 192)
             assert np.array_equal(buf.depth, depth) and np.array_equal(buf.prim, prim)
             assert np.isfinite(depth).any()
-            assert len(list(iter_raster_chunks(screen_triangles(scene, cam, 320, 192)[0],
-                                               320, 192))) > 1
+            assert len(list(RasterWork(_MAX_PAIRS).chunks(
+                screen_triangles(scene, cam, 320, 192)[0], 320, 192))) > 1
 
     def test_far_plane_clips_fragments(self):
         """A quad tilted through the far plane covers only the pixels where
@@ -295,7 +296,7 @@ def ray_cast_pvs(scene, cell, dims, rays_per_froxel_face, ocfg, cameras=None):
     if len(scene) == 0:
         return grid
 
-    tv = scene.triangle_vertices()
+    tv = scene.vertices[scene.triangles]
     for cam in cams:
         he = cam.half_extent
         us = (np.arange(rw) + 0.5) / rw
