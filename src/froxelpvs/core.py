@@ -334,11 +334,13 @@ def reproject_fragments(camera: Camera, frustum: Camera, px, py, depth, resoluti
 def load_scene(path) -> TriScene:
     """Load a Wavefront-style ASCII mesh (v/f records, 1-based indices).
 
+    A negative face index i is relative, as in Wavefront OBJ: it names
+    vertex ``len(verts) + i`` of the vertices defined above its line.
     Faces with more than three vertices are fan-triangulated; other record
     types, groups (``g``) among them, are ignored. A ``v`` record with fewer
     than 3 coordinates, an ``f`` record with fewer than 3 indices, a
-    non-numeric or non-finite value and a face index outside the file's
-    vertices raise ValueError naming ``path:line``.
+    non-numeric or non-finite value, face index 0 and a face index outside
+    the file's vertices raise ValueError naming ``path:line``.
     """
     verts, tris, face_lines = [], [], []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -352,7 +354,7 @@ def load_scene(path) -> TriScene:
             if parts[0] == "v":
                 xyz = [float(parts[1]), float(parts[2]), float(parts[3])]
             else:
-                idx = [int(tok.split("/")[0]) - 1 for tok in parts[1:]]
+                idx = [int(tok.split("/")[0]) for tok in parts[1:]]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {parts[0]!r} record holds a non-numeric "
                              f"value ({exc})") from None
@@ -361,6 +363,8 @@ def load_scene(path) -> TriScene:
                 raise ValueError(f"{path}:{lineno}: 'v' record holds a non-finite value")
             verts.append(xyz)
         else:
+            # index 0 maps to -1, which the range check below rejects
+            idx = [len(verts) + i if i < 0 else i - 1 for i in idx]
             for k in range(1, len(idx) - 1):
                 tris.append([idx[0], idx[k], idx[k + 1]])
                 face_lines.append(lineno)

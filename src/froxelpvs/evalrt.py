@@ -32,24 +32,27 @@ class MetricsRecord:
     fp: int
     fn: int
     gtp: int
-    gtp_zero: bool = False
+
+    @property
+    def gtp_zero(self) -> bool:
+        """Whether the ground truth is empty, so the rates read 0 by convention."""
+        return self.gtp == 0
 
 
-def froxel_metrics(pred: FroxelGrid, gt: FroxelGrid, frame: int = 0,
-                   per: float = 0.0) -> MetricsRecord:
-    """Exact confusion counts and FNR/FPR rates: tp = |pred & gt|,
-    fp = |pred| - tp, fn = |gt| - tp. Grids of other dims raise
-    ``ValueError``.
+def froxel_metrics(pred: FroxelGrid, gt: FroxelGrid, per: float = 0.0) -> MetricsRecord:
+    """Exact confusion counts and FNR/FPR rates, as a record of frame 0:
+    tp = |pred & gt|, fp = |pred| - tp, fn = |gt| - tp. Grids of other dims
+    raise ``ValueError``.
 
-    An empty ground truth reports zero rates with the ``gtp_zero`` flag set.
+    An empty ground truth reports zero rates, and the record's ``gtp_zero``
+    reads true.
     """
     tp = (pred & gt).occupied_count()
     fp = pred.occupied_count() - tp
     gtp = gt.occupied_count()
     fn = gtp - tp
-    if gtp == 0:
-        return MetricsRecord(frame, 0.0, 0.0, per, tp, fp, fn, gtp, gtp_zero=True)
-    return MetricsRecord(frame, fn / gtp, fp / gtp, per, tp, fp, fn, gtp)
+    fnr, fpr = (0.0, 0.0) if gtp == 0 else (fn / gtp, fp / gtp)
+    return MetricsRecord(0, fnr, fpr, per, tp, fp, fn, gtp)
 
 
 def cull(scene: TriScene, pvs: FroxelGrid, id_map: FroxelIdMap) -> set:

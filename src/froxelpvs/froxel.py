@@ -512,16 +512,19 @@ def screen_triangles(scene: TriScene, camera: Camera, width: int, height: int):
 
 def _fragments(scene: TriScene, frustum: Camera, dims, work: RasterWork):
     """Rasterize the scene through the viewcell frustum at ``SUPERSAMPLE``
-    times the froxel resolution in x and y; yields chunks ``(flat froxel
-    indices, source triangle)``, where flat = x + N_x * (y + N_y * z).
+    times the froxel resolution in x and y; yields chunks ``(flat, src,
+    tri, keep)``: the kept samples' froxel indices flat = x + N_x * (y +
+    N_y * z), and their scene triangles ``src[tri[keep]]`` for a consumer
+    that gathers them (``src`` is the same in every chunk).
 
     x and y are the sample's pixel divided by ``SUPERSAMPLE``, which equals
     floor(u * N_x) of its center u = (px + 0.5) / sx, because u * N_x lies
     at least 1/8 from an integer. z is ``floor(w * N_z)``, clamped at w = 1
     (reference for all three: ``quantize`` in ``tests/reference.py``).
 
-    The chunks are views into rows 3 and 5 of ``work``, valid until the
-    next chunk; rows 0-2, 4, 6 and 7 are free for the consumer.
+    ``flat`` and ``tri`` are views into ``work``'s integer rows 5 and 0,
+    valid until the next chunk; rows 1-4, 6 and 7 are free for the
+    consumer.
     """
     nx, ny, nz = dims = grid_dims(dims)
     sx, sy = SUPERSAMPLE * nx, SUPERSAMPLE * ny
@@ -559,8 +562,7 @@ def _fragments(scene: TriScene, frustum: Camera, dims, work: RasterWork):
         flat = px.take(keep, out=ints[5, :j], mode="wrap")
         flat //= SUPERSAMPLE
         flat += y
-        kept_tri = tri.take(keep, out=ints[6, :j], mode="wrap")
-        yield flat, src.take(kept_tri, out=ints[3, :j], mode="wrap")
+        yield flat, src, tri, keep
 
 
 def froxelize(scene: TriScene, frustum: Camera, dims) -> FroxelGrid:
@@ -572,7 +574,7 @@ def froxelize(scene: TriScene, frustum: Camera, dims) -> FroxelGrid:
     """
     nx, ny, nz = dims = grid_dims(dims)
     occupied = np.zeros(nx * ny * nz, dtype=bool)
-    for flat, _src in _fragments(scene, frustum, dims, RasterWork(_MAX_PAIRS)):
+    for flat, *_ in _fragments(scene, frustum, dims, RasterWork(_MAX_PAIRS)):
         occupied[flat] = True
     return FroxelGrid.from_flat(dims, occupied, role="geometry")
 
@@ -639,11 +641,13 @@ def froxel_id_map(scene: TriScene, frustum: Camera, dims) -> FroxelIdMap:
         raise ValueError("primitive id range too wide for the froxel id map keys")
     keys = [np.zeros(0, dtype=np.int64)]
     work = RasterWork(_MAX_PAIRS)
-    for flat, src in _fragments(scene, frustum, dims, work):
+    for flat, src, tri, keep in _fragments(scene, frustum, dims, work):
         k = len(flat)
         key = flat
         key *= span
-        pid = pids.take(src, out=work.ints[6, :k], mode="wrap")
+        owner = src.take(tri.take(keep, out=work.ints[6, :k], mode="wrap"),
+                         out=work.ints[3, :k], mode="wrap")
+        pid = pids.take(owner, out=work.ints[6, :k], mode="wrap")
         pid -= lo
         key += pid
         # raster order puts a triangle's samples in one froxel next to each other

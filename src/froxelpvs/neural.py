@@ -12,9 +12,13 @@ differences. Inference (:func:`predict_pvs`) runs in float32 and computes
 only the cells that can reach an occupied froxel; its output is masked by
 the geometry grid.
 
-Losses follow the conventional confusion-count reading: on soft predictions
-p and binary ground truth g, TP = sum(p*g), FP = sum(p*(1-g)),
-FN = sum((1-p)*g), GTP = sum(g).
+The loss (:func:`combined_loss`) follows the conventional confusion-count
+reading: on soft predictions p and binary ground truth g, TP = sum(p*g),
+FP = sum(p*(1-g)), FN = sum((1-p)*g), GTP = sum(g). Its Dice and RVL
+terms depend on p only through these sums, and each sum's derivative
+w.r.t. one p is 0 or +-1 by that froxel's g alone. So the gradient takes
+one value on visible froxels and one everywhere else: it is computed as
+two scalars and spread with ``np.where(g, at_1, at_0)``.
 """
 
 from __future__ import annotations
@@ -130,23 +134,6 @@ class TrainConfig:
             raise ValueError(f"need batch >= 1, epochs >= 0; got {self.batch_size}, {self.epochs}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-
-
-@dataclass
-class ConfusionCounts:
-    """TP/FP/FN/GTP; real-valued when computed on soft predictions."""
-
-    tp: float
-    fp: float
-    fn: float
-    gtp: float
-
-    @staticmethod
-    def from_soft(pred: np.ndarray, gt: np.ndarray) -> "ConfusionCounts":
-        tp = float((pred * gt).sum())
-        fp = float((pred * (1.0 - gt)).sum())
-        fn = float(((1.0 - pred) * gt).sum())
-        return ConfusionCounts(tp, fp, fn, float(gt.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -394,56 +381,43 @@ class PvsNet:
 
 
 # ---------------------------------------------------------------------------
-# Losses
+# Loss
 # ---------------------------------------------------------------------------
 
-def dice_loss(pred: np.ndarray, gt: np.ndarray, alpha: float):
-    """Weighted Dice loss 1 - 2TP / (2TP + alpha*FP + (1-alpha)*FN).
-
-    With alpha < 0.5 misses count more than false alarms. Empty ground
-    truth: 0 for an all-zero prediction, 1 otherwise (the formula's limit).
-    Returns (value, gradient w.r.t. pred).
-    """
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if pred.shape != gt.shape:
-        raise ValueError("prediction and ground truth shapes differ")
-    c = ConfusionCounts.from_soft(pred, gt)
-    num = 2.0 * c.tp
-    den = 2.0 * c.tp + alpha * c.fp + (1.0 - alpha) * c.fn
-    if den == 0.0:
-        return 0.0, np.zeros_like(pred)
-    dnum = 2.0 * gt
-    dden = 2.0 * gt + alpha * (1.0 - gt) - (1.0 - alpha) * gt
-    grad = -(dnum * den - num * dden) / (den * den)
-    # (den - num) / den == 1 - num/den but keeps simple anchors exact
-    return (den - num) / den, grad
-
-
-def rvl_loss(pred: np.ndarray, gt: np.ndarray):
-    """Repulsive visibility loss: (1 - TP/GTP) + FP/GTP.
-
-    The first term pulls predictions up on visible froxels, the second
-    pushes them down everywhere else, both normalized by the ground-truth
-    positive count. Empty ground truth contributes 0 by convention.
-    """
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if pred.shape != gt.shape:
-        raise ValueError("prediction and ground truth shapes differ")
-    c = ConfusionCounts.from_soft(pred, gt)
-    if c.gtp == 0.0:
-        return 0.0, np.zeros_like(pred)
-    loss = (1.0 - c.tp / c.gtp) + c.fp / c.gtp
-    grad = (-gt + (1.0 - gt)) / c.gtp
-    return loss, grad
-
-
 def combined_loss(pred: np.ndarray, gt: np.ndarray, cfg: TrainConfig):
-    """Convex combination lam * dice + (1 - lam) * rvl."""
-    dv, dg = dice_loss(pred, gt, cfg.alpha)
-    rv, rg = rvl_loss(pred, gt)
-    return cfg.lam * dv + (1.0 - cfg.lam) * rv, cfg.lam * dg + (1.0 - cfg.lam) * rg
+    """``lam * dice + (1 - lam) * rvl`` and its gradient w.r.t. ``pred``.
+
+    Dice is the weighted ``1 - 2TP / (2TP + alpha*FP + (1-alpha)*FN)``: with
+    alpha < 0.5 misses count more than false alarms, and where the
+    denominator is 0 (empty ground truth, all-zero prediction) it is 0.
+    The repulsive visibility loss is ``(1 - TP/GTP) + FP/GTP``: its first
+    term pulls predictions up on visible froxels, its second pushes them
+    down everywhere else, and empty ground truth gives 0. The gradient is
+    two-valued (see the module docstring): each term's derivative is
+    evaluated once at g = 1 and once at g = 0.
+    """
+    pred, gt = np.asarray(pred, dtype=np.float64), np.asarray(gt)
+    if pred.shape != gt.shape:
+        raise ValueError("prediction and ground truth shapes differ")
+    tp = float((pred * gt).sum())
+    fp = float((pred * (1.0 - gt)).sum())
+    fn = float(((1.0 - pred) * gt).sum())
+    gtp = float(gt.sum())
+    alpha, lam = cfg.alpha, cfg.lam
+    num = 2.0 * tp
+    den = 2.0 * tp + alpha * fp + (1.0 - alpha) * fn
+
+    def grad(g: float) -> float:
+        """Both terms' derivative w.r.t. the p of a froxel with truth g."""
+        dden = 2.0 * g + alpha * (1.0 - g) - (1.0 - alpha) * g
+        dice = 0.0 if den == 0.0 else -(2.0 * g * den - num * dden) / (den * den)
+        rvl = 0.0 if gtp == 0.0 else (-g + (1.0 - g)) / gtp
+        return lam * dice + (1.0 - lam) * rvl
+
+    # (den - num) / den == 1 - num/den but keeps simple anchors exact
+    dice = 0.0 if den == 0.0 else (den - num) / den
+    rvl = 0.0 if gtp == 0.0 else (1.0 - tp / gtp) + fp / gtp
+    return lam * dice + (1.0 - lam) * rvl, np.where(gt, grad(1.0), grad(0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,6 @@ from .core import SceneBuilder, TriScene, Vec3, ViewCell, build_viewcell_frustum
 from .froxel import froxelize
 from .oracle import OracleConfig, compute_gt_pvs
 
-PRIMITIVE_KINDS = ("cube", "cone", "pyramid", "cylinder", "dodecahedron",
-                   "icosahedron", "arch", "door-wall", "window-cube", "plane",
-                   "blob")
-
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 # Fixed shape of the scene distribution; SceneGenConfig holds what callers vary.
@@ -67,7 +63,8 @@ def _circle(n, y, radius):
     return np.column_stack([radius * np.cos(ang), np.full(n, y), radius * np.sin(ang)])
 
 
-def _cone(n=12):
+def _cone():
+    n = 12                                  # ring segments
     ring = _circle(n, -0.5, 0.5)
     verts = np.vstack([ring, [[0.0, -0.5, 0.0]], [[0.0, 0.5, 0.0]]])
     base_c, apex = n, n + 1
@@ -79,7 +76,8 @@ def _cone(n=12):
     return verts, np.array(faces)
 
 
-def _cylinder(n=12):
+def _cylinder():
+    n = 12                                  # ring segments
     bot = _circle(n, -0.5, 0.5)
     top = _circle(n, 0.5, 0.5)
     verts = np.vstack([bot, top, [[0.0, -0.5, 0.0]], [[0.0, 0.5, 0.0]]])
@@ -137,8 +135,9 @@ def _dodecahedron():
     return verts, f
 
 
-def _arch(n=8):
+def _arch():
     """Extruded half annulus: a round arch spanning x with feet at the bottom."""
+    n = 8                                   # segments along the half annulus
     r_out, r_in, depth = 0.5, 0.28, 0.2
     ang = math.pi * np.arange(n + 1) / n
     xo, yo = r_out * np.cos(ang), r_out * np.sin(ang)
@@ -217,8 +216,9 @@ def _window_cube():
     return _grid_slab([-0.5, -0.2, 0.2, 0.5], [-0.5, -0.2, 0.2, 0.5], {(1, 1)}, 1.0)
 
 
-def _blob(nu=18, nv=12):
+def _blob():
     """Fixed lumpy torus standing in for a complex organic shape."""
+    nu, nv = 18, 12                         # samples around the major, minor circle
     us = 2.0 * math.pi * np.arange(nu) / nu
     vs = 2.0 * math.pi * np.arange(nv) / nv
     gu, gv = np.meshgrid(us, vs, indexing="ij")
@@ -252,6 +252,7 @@ _FACTORIES = {
     "plane": _plane,
     "blob": _blob,
 }
+PRIMITIVE_KINDS = tuple(_FACTORIES)
 
 
 @functools.cache

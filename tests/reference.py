@@ -13,7 +13,7 @@ import numpy as np
 
 from froxelpvs.core import Camera, TriScene, depth_to_w
 from froxelpvs.evalrt import METRICS_HEADER, MetricsRecord
-from froxelpvs.froxel import _affine_table, _interp_into
+from froxelpvs.froxel import _MAX_PAIRS, RasterWork, _affine_table, _fragments, _interp_into
 
 
 def quantize(uvw, dims):
@@ -42,6 +42,14 @@ def interp_affine(attrs: np.ndarray, tri, b1, b2):
     out, tmp = np.empty(len(tri)), np.empty(len(tri))
     _interp_into(out, tmp, _affine_table(attrs), tri, b1, b2)
     return out
+
+
+def fragment_sources(scene: TriScene, frustum: Camera, dims):
+    """``froxel._fragments``' chunks as copied (flat froxel index, scene
+    triangle) pairs: the gather that ``froxel_id_map`` fuses with its
+    primitive-id lookup."""
+    for flat, src, tri, keep in _fragments(scene, frustum, dims, RasterWork(_MAX_PAIRS)):
+        yield flat.copy(), src[tri[keep]]
 
 
 def _froxel_byte(grid, x: int, y: int, z: int):
@@ -112,6 +120,59 @@ def read_metrics_csv(path) -> list:
     for row in rows[1:]:
         f = row.split(",")
         records.append(MetricsRecord(int(f[0]), float(f[1]), float(f[2]), float(f[3]),
-                                     int(f[4]), int(f[5]), int(f[6]), int(f[7]),
-                                     gtp_zero=int(f[7]) == 0))
+                                     int(f[4]), int(f[5]), int(f[6]), int(f[7])))
     return records
+
+
+def confusion_counts(pred: np.ndarray, gt: np.ndarray):
+    """TP, FP, FN and GTP of soft predictions, as ``neural.combined_loss``
+    sums them."""
+    tp = float((pred * gt).sum())
+    fp = float((pred * (1.0 - gt)).sum())
+    fn = float(((1.0 - pred) * gt).sum())
+    return tp, fp, fn, float(gt.sum())
+
+
+def dice_loss(pred: np.ndarray, gt: np.ndarray, alpha: float):
+    """Weighted Dice loss 1 - 2TP / (2TP + alpha*FP + (1-alpha)*FN), with
+    its gradient w.r.t. pred built elementwise: the form that
+    ``neural.combined_loss`` evaluates as two scalars.
+
+    Empty ground truth: 0 for an all-zero prediction, 1 otherwise.
+    """
+    pred = np.asarray(pred, dtype=np.float64)
+    gt = np.asarray(gt, dtype=np.float64)
+    if pred.shape != gt.shape:
+        raise ValueError("prediction and ground truth shapes differ")
+    tp, fp, fn, _ = confusion_counts(pred, gt)
+    num = 2.0 * tp
+    den = 2.0 * tp + alpha * fp + (1.0 - alpha) * fn
+    if den == 0.0:
+        return 0.0, np.zeros_like(pred)
+    dnum = 2.0 * gt
+    dden = 2.0 * gt + alpha * (1.0 - gt) - (1.0 - alpha) * gt
+    grad = -(dnum * den - num * dden) / (den * den)
+    # (den - num) / den == 1 - num/den but keeps simple anchors exact
+    return (den - num) / den, grad
+
+
+def rvl_loss(pred: np.ndarray, gt: np.ndarray):
+    """Repulsive visibility loss (1 - TP/GTP) + FP/GTP, with its gradient
+    built elementwise. Empty ground truth contributes 0 by convention."""
+    pred = np.asarray(pred, dtype=np.float64)
+    gt = np.asarray(gt, dtype=np.float64)
+    if pred.shape != gt.shape:
+        raise ValueError("prediction and ground truth shapes differ")
+    tp, fp, _, gtp = confusion_counts(pred, gt)
+    if gtp == 0.0:
+        return 0.0, np.zeros_like(pred)
+    loss = (1.0 - tp / gtp) + fp / gtp
+    grad = (-gt + (1.0 - gt)) / gtp
+    return loss, grad
+
+
+def combined_loss(pred: np.ndarray, gt: np.ndarray, alpha: float, lam: float):
+    """Convex combination lam * dice + (1 - lam) * rvl, elementwise."""
+    dv, dg = dice_loss(pred, gt, alpha)
+    rv, rg = rvl_loss(pred, gt)
+    return lam * dv + (1.0 - lam) * rv, lam * dg + (1.0 - lam) * rg

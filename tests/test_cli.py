@@ -60,6 +60,8 @@ CASES = {
                                         EXIT_VALIDATION),
     "scene face with 2 indices": (["gt", "--scene", "{short_f}", "--out", "{out}"],
                                   EXIT_VALIDATION),
+    "scene face index before the first vertex": (
+        ["gt", "--scene", "{far_back}", "--out", "{out}"], EXIT_VALIDATION),
     "supersample is no config key": (
         ["eval", "--config", "{supersample}", "--pred", "{a}", "--gt", "{a}",
          "--out", "{out}"], EXIT_USAGE),
@@ -87,7 +89,8 @@ def test_exit_code(case, tmp_path, capsys):
              "threshold": tmp_path / "threshold.cfg", "bad_value": tmp_path / "value.cfg",
              "supersample": tmp_path / "supersample.cfg", "data": tmp_path / "data",
              "short_v": tmp_path / "short_v.obj", "short_f": tmp_path / "short_f.obj",
-             "decay": tmp_path / "decay.cfg", "net": tmp_path / "net.fpvw"}
+             "far_back": tmp_path / "far_back.obj", "decay": tmp_path / "decay.cfg",
+             "net": tmp_path / "net.fpvw"}
     FroxelGrid((16, 16, 16)).save(paths["a"])
     PvsNet(ModelConfig.default(2, hidden=4)).save(paths["net"])
     FroxelGrid((8, 8, 8)).save(paths["b"])
@@ -98,6 +101,7 @@ def test_exit_code(case, tmp_path, capsys):
     paths["decay"].write_text("decay = 1e-10\n")
     paths["short_v"].write_text("v 0 0 0\nv 1 0\n")
     paths["short_f"].write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2\n")
+    paths["far_back"].write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -4 -2 -1\n")
     rc = main([arg.format(**paths) for arg in argv])
     assert rc == want
     assert "Traceback" not in capsys.readouterr().err

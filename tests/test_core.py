@@ -329,6 +329,26 @@ f 2 4 3
         path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
         assert len(load_scene(path)) == 2
 
+    def test_relative_face_indices(self, tmp_path):
+        path = tmp_path / "rel.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n")
+        assert load_scene(path).triangles.tolist() == [[0, 1, 2]]
+
+    def test_relative_indices_resolve_at_their_line(self, tmp_path):
+        path = tmp_path / "rel.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n"
+                        "v 1 1 0\nv 0 0 1\nf -4 -2 -1\nf 1 -1 2\n")
+        assert load_scene(path).triangles.tolist() == [[0, 1, 2], [1, 3, 4], [0, 4, 1]]
+
+    @pytest.mark.parametrize("face", ["f 0 1 2", "f -4 -2 -1", "f 1 2 5"])
+    def test_face_index_out_of_range_names_its_line(self, face, tmp_path):
+        """Index 0, a relative index before the first vertex (though a
+        fourth vertex follows) and one past the last vertex."""
+        path = tmp_path / "bad.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{face}\nv 1 1 1\n")
+        with pytest.raises(ValueError, match=":4: face index out of range"):
+            load_scene(path)
+
     @pytest.mark.parametrize("record", ["v 1 0", "f 1 2"])
     def test_short_records_rejected(self, record, tmp_path):
         path = tmp_path / "short.obj"

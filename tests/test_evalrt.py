@@ -7,19 +7,18 @@ import pytest
 from froxelpvs.core import TriScene, build_viewcell_frustum
 from froxelpvs.evalrt import (MetricsRecord, cull, froxel_metrics, pixel_error_rate,
                               write_metrics_csv)
-from froxelpvs.froxel import (_MAX_PAIRS, FroxelGrid, FroxelIdMap, RasterWork, _fragments,
-                              froxel_id_map)
+from froxelpvs.froxel import FroxelGrid, FroxelIdMap, froxel_id_map
 from froxelpvs.oracle import OracleConfig, render_depth, sample_viewpoints
 from froxelpvs.scenegen import SceneGenConfig, generate_scene
 
 from conftest import PERSPECTIVE, default_cell, quad_at
-from reference import froxel_bit, read_metrics_csv, subset
+from reference import fragment_sources, froxel_bit, read_metrics_csv, subset
 
 
 def reference_id_map(scene, frustum, dims):
     nx, ny, _ = dims
     mapping = {}
-    for flat, src in _fragments(scene, frustum, dims, RasterWork(_MAX_PAIRS)):
+    for flat, src in fragment_sources(scene, frustum, dims):
         for f, pid in zip(flat.tolist(), scene.primitive_ids[src].tolist()):
             mapping.setdefault((f % nx, f // nx % ny, f // (nx * ny)), set()).add(pid)
     return mapping
@@ -203,10 +202,20 @@ def test_froxel_metrics_counts(rng):
 
 def test_metrics_csv_round_trip(tmp_path):
     records = [MetricsRecord(0, 0.25, 0.125, 0.0625, 30, 5, 10, 40),
-               MetricsRecord(1, 0.0, 0.0, 0.5, 0, 3, 0, 0, gtp_zero=True)]
+               MetricsRecord(1, 0.0, 0.0, 0.5, 0, 3, 0, 0)]
     path = tmp_path / "metrics.csv"
     write_metrics_csv(path, records)
+    assert path.read_text() == ("frame,fnr,fpr,per,tp,fp,fn,gtp\n"
+                                "0,0.25,0.125,0.0625,30,5,10,40\n1,0,0,0.5,0,3,0,0\n")
     assert read_metrics_csv(path) == records
+    assert [r.gtp_zero for r in records] == [False, True]
+
+
+def test_empty_ground_truth_reads_zero_rates():
+    pred = FroxelGrid.from_dense(np.ones((8, 8, 8), dtype=bool))
+    rec = froxel_metrics(pred, FroxelGrid((8, 8, 8)), per=0.5)
+    assert (rec.frame, rec.fnr, rec.fpr, rec.per) == (0, 0.0, 0.0, 0.5)
+    assert (rec.fp, rec.gtp) == (512, 0) and rec.gtp_zero
 
 
 def test_metrics_csv_wrong_header_rejected(tmp_path):

@@ -13,12 +13,13 @@ import pytest
 from froxelpvs.core import Camera, TriScene, Vec3, build_viewcell_frustum, depth_to_w
 import froxelpvs
 from froxelpvs.froxel import (_DEGEN_EPS, _MAX_PAIRS, SUPERSAMPLE, FroxelGrid, RasterWork,
-                              _fragments, clip_triangles_halfspace, froxel_id_map, froxelize,
-                              grid_dims, screen_triangles)
+                              clip_triangles_halfspace, froxel_id_map, froxelize, grid_dims,
+                              screen_triangles)
 from froxelpvs.scenegen import SceneGenConfig, frame_seed, generate_scene
 
 from conftest import PERSPECTIVE, default_cell, peak_mb, quad_at, raster_work_bytes
-from reference import froxel_bit, interp_affine, quantize, set_froxel, unproject_ndc
+from reference import fragment_sources, froxel_bit, interp_affine, quantize, set_froxel, \
+    unproject_ndc
 
 
 class TestQuantize:
@@ -334,8 +335,7 @@ class TestFragmentStream:
         scene, cell = generate_scene(SceneGenConfig(seed=seed))
         frustum = build_viewcell_frustum(cell)
         for dims in ((32, 16, 24), (64, 64, 64)):
-            got = [np.concatenate(p) for p in
-                   zip(*_copied(_fragments(scene, frustum, dims, RasterWork(_MAX_PAIRS))))]
+            got = [np.concatenate(p) for p in zip(*fragment_sources(scene, frustum, dims))]
             ref = [np.concatenate(p) for p in
                    zip(*_quantized_stream_reference(scene, frustum, dims))]
             assert len(got[0]) > 0
@@ -412,7 +412,7 @@ class TestIdMap:
         pids = scene.primitive_ids
         lo, span = int(pids.min()), int(pids.max() - pids.min()) + 1
         chunks = [np.unique(flat * span + pids[src] - lo)
-                  for flat, src in _fragments(scene, frustum, dims, RasterWork(_MAX_PAIRS))]
+                  for flat, src in fragment_sources(scene, frustum, dims)]
         every = np.concatenate(chunks)
         keys = np.unique(every)
         assert len(keys) < len(every)       # keys repeat across chunks

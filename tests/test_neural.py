@@ -1,6 +1,7 @@
 """Convolution layers, inference precision, gradients, interleaving and
 checkpoint files."""
 
+import hashlib
 import tracemalloc
 import warnings
 
@@ -10,10 +11,11 @@ import pytest
 from froxelpvs.froxel import FroxelGrid, froxelize
 from froxelpvs.interleave import ChannelTensor, deinterleave, interleave
 from froxelpvs.neural import ACTIVATIONS, Conv3d, ConvSpec, ModelConfig, PvsNet, \
-    TrainConfig, _sigmoid, combined_loss, conv_rules, dice_loss, dilate, evaluate_pairs, \
-    predict_pvs, rvl_loss, train
+    TrainConfig, _sigmoid, combined_loss, conv_rules, dilate, evaluate_pairs, predict_pvs, \
+    train
 
 from conftest import peak_mb
+import reference
 
 BAND = 1e-5     # |p - tau| below this may flip between float32 and float64
 
@@ -345,10 +347,11 @@ class TestForwardCached:
             net.forward_cached(np.zeros((8, 8)))
 
 
+# Dice alone is lam = 1, RVL alone lam = 0.
 _LOSSES = {
-    "dice": lambda p, g: dice_loss(p, g, 0.1),
-    "dice_even": lambda p, g: dice_loss(p, g, 0.5),
-    "rvl": rvl_loss,
+    "dice": lambda p, g: combined_loss(p, g, TrainConfig(alpha=0.1, lam=1.0)),
+    "dice_even": lambda p, g: combined_loss(p, g, TrainConfig(alpha=0.5, lam=1.0)),
+    "rvl": lambda p, g: combined_loss(p, g, TrainConfig(lam=0.0)),
     "combined": lambda p, g: combined_loss(p, g, TrainConfig(alpha=0.3, lam=0.7)),
 }
 
@@ -384,11 +387,36 @@ class TestLosses:
         gt = np.zeros((3, 4, 2))
         pred = rng.uniform(0.05, 0.95, gt.shape)
         for alpha in (0.1, 0.5):
-            assert dice_loss(np.zeros_like(gt), gt, alpha)[0] == 0.0
-            assert dice_loss(pred, gt, alpha)[0] == 1.0
+            dice = TrainConfig(alpha=alpha, lam=1.0)
+            assert combined_loss(np.zeros_like(gt), gt, dice)[0] == 0.0
+            assert combined_loss(pred, gt, dice)[0] == 1.0
         for p in (np.zeros_like(gt), pred):
-            loss, grad = rvl_loss(p, gt)
+            loss, grad = combined_loss(p, gt, TrainConfig(lam=0.0))
             assert loss == 0.0 and not grad.any()
+
+    @pytest.mark.parametrize("shape", [(4, 4, 4, 8), (8, 8, 8, 64)])
+    def test_closed_form_equals_elementwise_reference_bitwise(self, shape, rng):
+        """The two-valued gradient and the loss equal the elementwise forms
+        byte for byte, over alpha, lam, the prediction, ground-truth fill
+        and ground-truth dtype."""
+        preds = [rng.uniform(0.0, 1.0, shape), np.zeros(shape), np.ones(shape)]
+        truths = [rng.random(shape) < 0.3, np.zeros(shape, dtype=bool),
+                  np.ones(shape, dtype=bool)]
+        for alpha in (0.0, 0.1, 0.5, 1.0):
+            for lam in (0.0, 0.5, 0.99, 1.0):
+                cfg = TrainConfig(alpha=alpha, lam=lam)
+                for pred in preds:
+                    for gt in truths:
+                        for g in (gt, gt.astype(np.float64)):
+                            loss, grad = combined_loss(pred, g, cfg)
+                            want, want_grad = reference.combined_loss(pred, g, alpha, lam)
+                            assert np.float64(loss).tobytes() == np.float64(want).tobytes()
+                            assert grad.dtype == np.float64 and grad.shape == shape
+                            assert grad.tobytes() == want_grad.tobytes()
+
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shapes differ"):
+            combined_loss(np.zeros((2, 2)), np.zeros((2, 3)), TrainConfig())
 
 
 class TestInterleave:
@@ -472,7 +500,29 @@ def test_train_config_rejects_nonpositive_or_nonfinite_lr(lr):
         TrainConfig(lr=lr)
 
 
+# sha256 of (checkpoint bytes, repr of the per-epoch history) of a tiny
+# fixed run: two random 16^3 frames, d = 2, hidden 8, 4 epochs of batch 1
+GOLDEN_TRAIN = ("befb24d76d6a00802676a87a65caccfd1d2820cdfa56c7d4b63dc258ce667bff",
+                "11b1b2965f2a9398d1811b4a2d53923849256ca460b43da41555026993d0d077")
+
+
 class TestTraining:
+    def test_golden_checkpoint_and_history(self, tmp_path):
+        rng = np.random.Generator(np.random.PCG64(24))
+        pairs = []
+        for _ in range(2):
+            geo = rng.random((16, 16, 16)) < 0.3
+            gt = geo & (rng.random(geo.shape) < 0.5)
+            pairs.append((FroxelGrid.from_dense(geo),
+                          FroxelGrid.from_dense(gt, role="gt_pvs")))
+        path = tmp_path / "net.fpvw"
+        _, history = train(pairs, ModelConfig.default(2, hidden=8),
+                           TrainConfig(epochs=4, batch_size=1, lr=1e-2),
+                           checkpoint_path=path)
+        got = (hashlib.sha256(path.read_bytes()).hexdigest(),
+               hashlib.sha256(repr(history).encode()).hexdigest())
+        assert got == GOLDEN_TRAIN
+
     def test_deterministic_for_a_fixed_seed(self, rng):
         pairs = []
         for _ in range(3):
