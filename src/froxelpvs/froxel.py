@@ -641,15 +641,15 @@ def froxel_id_map(scene: TriScene, frustum: Camera, dims) -> FroxelIdMap:
         raise ValueError("primitive id range too wide for the froxel id map keys")
     keys = [np.zeros(0, dtype=np.int64)]
     work = RasterWork(_MAX_PAIRS)
+    pid_of = None       # primitive id less lo, per pass triangle
     for flat, src, tri, keep in _fragments(scene, frustum, dims, work):
+        if pid_of is None:
+            pid_of = pids.take(src) - lo
         k = len(flat)
         key = flat
         key *= span
-        owner = src.take(tri.take(keep, out=work.ints[6, :k], mode="wrap"),
-                         out=work.ints[3, :k], mode="wrap")
-        pid = pids.take(owner, out=work.ints[6, :k], mode="wrap")
-        pid -= lo
-        key += pid
+        key += pid_of.take(tri.take(keep, out=work.ints[6, :k], mode="wrap"),
+                           out=work.ints[3, :k], mode="wrap")
         # raster order puts a triangle's samples in one froxel next to each other
         first = work.masks[7, 0, :k]
         first[0] = True

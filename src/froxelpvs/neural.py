@@ -6,11 +6,14 @@ dims preserved) and hand-derived backward passes. Every layer call, dense or
 sparse, forward or backward, walks a neighbour table (:func:`conv_rules`):
 per kernel offset, a row gather plus one GEMM, as in submanifold sparse
 convolution (Graham & van der Maaten, arXiv:1706.01307; Choy et al., CVPR
-2019). A dense grid is the table with every cell present. Training runs
-dense in float64, so gradients check out against central finite
-differences. Inference (:func:`predict_pvs`) runs in float32 and computes
-only the cells that can reach an occupied froxel; its output is masked by
-the geometry grid.
+2019). A dense grid is the table with every cell present. A layer call
+computes in its input's precision: float64 rows in float64, any other rows
+(bool, float32) in float32. Training feeds bool frames, so it runs dense in
+float32 against float64 master weights (mixed precision, Micikevicius et
+al., ICLR 2018); float64 input runs the same kernel in float64, where
+gradients check out against central finite differences. Inference
+(:func:`predict_pvs`) runs in float32 and computes only the cells that can
+reach an occupied froxel; its output is masked by the geometry grid.
 
 The loss (:func:`combined_loss`) follows the conventional confusion-count
 reading: on soft predictions p and binary ground truth g, TP = sum(p*g),
@@ -186,10 +189,12 @@ class Conv3d:
         and the result one (C_out,) row per output cell. Without, ``x`` is a
         dense (B, D, H, W, C_in) tensor, run through the full grid's table
         with its rows offset per batch item, and the result is 5D.
-        Without a cache the layer runs in float32; with one it runs in
-        float64 and keeps what :meth:`backward` needs: the float64 input
-        rows, the table, the output ``y`` and the input's shape. The
-        pre-activation is not kept: ReLU's mask ``y > 0`` equals ``z > 0``
+        The layer computes in its input's precision: float64 input in
+        float64, any other (bool, float32) in float32, with the weights
+        cast to match. ``keep_cache`` only decides whether it also returns
+        what :meth:`backward` needs: the input rows in that precision, the
+        table, the output ``y`` and the input's shape. The pre-activation
+        is not kept: ReLU's mask ``y > 0`` equals ``z > 0``
         because ``y = max(z, 0)``, sigmoid's derivative reads ``y``, and
         with no activation ``y`` is ``z``.
         """
@@ -204,7 +209,7 @@ class Conv3d:
             if rules.shape[0] != k ** 3:
                 raise ValueError(f"expected {k ** 3} kernel offsets, got {rules.shape[0]}")
             rows = x
-        dtype = np.float64 if keep_cache else np.float32
+        dtype = np.float64 if rows.dtype == np.float64 else np.float32
         rows = rows.astype(dtype, copy=False)
         taps = self.w.astype(dtype, copy=False).reshape(k ** 3, cin, cout)
         z = np.empty((rules.shape[1], cout), dtype=dtype)
@@ -231,14 +236,16 @@ class Conv3d:
 
         Walks the forward's neighbour table: per offset j,
         ``dw[j] = x[in_j]^T dz[out_j]`` and ``dx[in_j] += dz[out_j] w_j^T``.
-        The input gradient comes back in the input's shape, or as None when
+        It runs in the forward's precision: ``dy`` and the weights are cast
+        to the cached rows' dtype, and so are the gradients. The input
+        gradient comes back in the input's shape, or as None when
         ``need_dx`` is off.
         """
         if cache is None:
             raise ValueError("backward requires the forward cache")
         rows, rules, y, xshape = cache
         k, cin, cout = self.spec.kernel, self.spec.in_channels, self.spec.out_channels
-        dy = dy.reshape(-1, cout)
+        dy = dy.reshape(-1, cout).astype(rows.dtype, copy=False)
         act = self.spec.activation
         if act == "relu":
             dz = dy * (y > 0)
@@ -246,7 +253,7 @@ class Conv3d:
             dz = dy * y * (1.0 - y)
         else:
             dz = dy
-        taps = self.w.reshape(k ** 3, cin, cout)
+        taps = self.w.astype(rows.dtype, copy=False).reshape(k ** 3, cin, cout)
         dw = np.empty_like(taps)
         dx = np.zeros_like(rows) if need_dx else None
         for j, ins in enumerate(rules):
@@ -276,10 +283,13 @@ class PvsNet:
             self.layers[-1].b[:] = -self.OUTPUT_GAIN / 2.0
 
     def forward_cached(self, x: np.ndarray):
-        """Float64 output on a dense (B, D, H, W, C) batch, plus the
-        per-layer caches :meth:`backward` reads.
+        """Output on a dense (B, D, H, W, C) batch, plus the per-layer
+        caches :meth:`backward` reads.
 
-        The batch's neighbour table is built once per kernel size and shared
+        A float64 batch runs every layer in float64; any other batch (the
+        bool frames training feeds) is cast to float32 once, by the first
+        layer, and the whole chain, caches included, stays float32. The
+        batch's neighbour table is built once per kernel size and shared
         by every layer and cache; layers pass C-order rows, and the output
         takes its 5D shape at the end.
         """
@@ -475,10 +485,12 @@ def _train_step(net: PvsNet, bx: np.ndarray, by: np.ndarray, tcfg: TrainConfig,
     """Forward, loss, backward and update on one bool batch; returns the
     mean loss and the hard counts of the shipped PVS.
 
-    The batch's float64 activations, caches and gradients are local, so they
-    die when the step returns and the next step starts from the weights
-    alone. Raises :class:`TrainingDiverged` with ``index`` before updating
-    on a non-finite loss.
+    The bool batch makes the step float32: activations, caches and layer
+    gradients are float32, :func:`combined_loss` sums in float64, and the
+    update applies the float32 gradients to the float64 weights. They are
+    local, so they die when the step returns and the next step starts from
+    the weights alone. Raises :class:`TrainingDiverged` with ``index``
+    before updating on a non-finite loss.
     """
     pred, caches = net.forward_cached(bx)
     grad = np.empty_like(pred)
@@ -508,9 +520,9 @@ def train(pairs, mcfg: ModelConfig, tcfg: TrainConfig, eval_pairs=None,
     With ``verbose`` each epoch's dict goes to stdout as one JSON line.
 
     The frames stay bool between steps. Each batch runs in one
-    :func:`_train_step` call, whose float64 activations, caches and
-    gradients are freed before the next batch starts, so the peak holds
-    one step's arrays, not two.
+    :func:`_train_step` call, in float32 against the float64 weights; its
+    activations, caches and gradients are freed before the next batch
+    starts, so the peak holds one step's arrays, not two.
     """
     x, y = _tensor_pairs(pairs, mcfg.d)
     ev = _tensor_pairs(eval_pairs, mcfg.d) if eval_pairs else None

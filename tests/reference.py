@@ -14,6 +14,7 @@ import numpy as np
 from froxelpvs.core import Camera, TriScene, depth_to_w
 from froxelpvs.evalrt import METRICS_HEADER, MetricsRecord
 from froxelpvs.froxel import _MAX_PAIRS, RasterWork, _affine_table, _fragments, _interp_into
+from froxelpvs.neural import PvsNet, _tensor_pairs
 
 
 def quantize(uvw, dims):
@@ -176,3 +177,24 @@ def combined_loss(pred: np.ndarray, gt: np.ndarray, alpha: float, lam: float):
     dv, dg = dice_loss(pred, gt, alpha)
     rv, rg = rvl_loss(pred, gt)
     return lam * dv + (1.0 - lam) * rv, lam * dg + (1.0 - lam) * rg
+
+
+def train_float64(pairs, mcfg, tcfg):
+    """``neural.train``'s loop run in float64: the same net draw, batch
+    order and update, with each bool batch cast to float64 so that every
+    layer computes in float64, and the elementwise :func:`combined_loss`.
+    Returns the net and the per-epoch mean losses."""
+    x, y = _tensor_pairs(pairs, mcfg.d)
+    rng = np.random.Generator(np.random.PCG64(tcfg.seed))
+    net, losses = PvsNet(mcfg, rng), []
+    for _ in range(tcfg.epochs):
+        order, total = rng.permutation(len(x)), 0.0
+        for start in range(0, len(x), tcfg.batch_size):
+            batch = order[start:start + tcfg.batch_size]
+            pred, caches = net.forward_cached(x[batch].astype(np.float64))
+            parts = [combined_loss(p, g, tcfg.alpha, tcfg.lam) for p, g in zip(pred, y[batch])]
+            grad = np.stack([g for _, g in parts]) / len(batch)
+            net.sgd_step(net.backward(grad, caches), tcfg.lr)
+            total += sum(loss for loss, _ in parts)
+        losses.append(total / len(x))
+    return net, losses

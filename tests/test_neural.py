@@ -28,8 +28,12 @@ def _layer(k, cin, cout, act, seed=0):
 
 
 def _float64_chain(net, x):
+    """The dense layer chain in float64: a layer computes in its input's
+    precision, so the input is cast first."""
+    x = x.astype(np.float64)
     for layer in net.layers:
-        x, _ = layer.forward(x, keep_cache=True)
+        x = layer.forward(x)
+    assert x.dtype == np.float64
     return x
 
 
@@ -66,7 +70,7 @@ class TestConv3dInference:
     def test_matches_float64_cached_path(self, k, bsz, act, rng):
         layer = _layer(k, 5, 4, act, seed=k)
         x = rng.normal(0.0, 1.0, (bsz, 4, 5, 6, 5))
-        y = layer.forward(x)
+        y = layer.forward(x.astype(np.float32))
         ref, _ = layer.forward(x, keep_cache=True)
         assert y.dtype == np.float32 and ref.dtype == np.float64
         assert y.shape == ref.shape == (bsz, 4, 5, 6, 4)
@@ -77,10 +81,27 @@ class TestConv3dInference:
         with pytest.raises(ValueError):
             layer.forward(np.zeros((1, 4, 4, 4, 3)))
 
-    def test_float64_and_float32_input_agree_bitwise(self, rng):
+    def test_bool_and_float32_input_agree_bitwise(self, rng):
         layer = _layer(3, 8, 6, "sigmoid")
-        x = (rng.random((1, 4, 4, 4, 8)) < 0.3).astype(np.float64)
-        assert np.array_equal(layer.forward(x), layer.forward(x.astype(np.float32)))
+        x = rng.random((1, 4, 4, 4, 8)) < 0.3
+        got, want = layer.forward(x), layer.forward(x.astype(np.float32))
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("keep_cache", [False, True])
+    @pytest.mark.parametrize("dtype, want", [(bool, np.float32), (np.float32, np.float32),
+                                             (np.float64, np.float64)],
+                             ids=["bool", "float32", "float64"])
+    def test_precision_follows_input(self, dtype, want, keep_cache, rng):
+        """float64 rows run in float64 and any other rows in float32;
+        ``keep_cache`` changes only whether a cache comes back."""
+        layer = _layer(3, 4, 3, "relu")
+        x = (rng.random((2, 3, 4, 5, 4)) < 0.4).astype(dtype)
+        out = layer.forward(x, keep_cache=keep_cache)
+        if keep_cache:
+            out, (rows, _, y, _) = out
+            assert rows.dtype == y.dtype == want
+        assert out.dtype == want and out.shape == (2, 3, 4, 5, 3)
 
 
 class TestPredictPvs:
@@ -249,6 +270,7 @@ def _check_central_differences(layer, x, g, rules=None):
 
     _, cache = layer.forward(x, keep_cache=True, rules=rules)
     dx, dw, db = layer.backward(g, cache)
+    assert cache[0].dtype == dx.dtype == dw.dtype == db.dtype == np.float64
     eps = 1e-6
     for arr, grad in ((x, dx), (layer.w, dw), (layer.b, db)):
         numeric = np.empty_like(arr)
@@ -329,10 +351,11 @@ class TestForwardCached:
         x = rng.random((2, 4, 3, 5, 8)) < 0.3
         g = rng.normal(0.0, 1.0, (2, 4, 3, 5, 8))
         got, caches = net.forward_cached(x)
-        want, chain = x.astype(np.float64), []
+        want, chain = x.astype(np.float32), []
         for layer in net.layers:
             want, cache = layer.forward(want, keep_cache=True)
             chain.append(cache)
+        assert got.dtype == want.dtype == np.float32
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert caches[0][1] is caches[2][1]
         grads, dy = net.backward(g, caches), g
@@ -340,6 +363,48 @@ class TestForwardCached:
             dy, dw, db = net.layers[i].backward(dy, chain[i], need_dx=i > 0)
             assert dw.tobytes() == grads[i][0].tobytes()
             assert db.tobytes() == grads[i][1].tobytes()
+
+    def test_bool_batch_runs_float32(self, rng):
+        """Training's bool frames give float32 output, caches and
+        gradients; the weights stay float64."""
+        net = _he_net(2, (3, 1, 3), seed=11)
+        x = rng.random((2, 4, 3, 5, 8)) < 0.3
+        out, caches = net.forward_cached(x)
+        assert out.dtype == np.float32
+        for rows, _, y, _ in caches:
+            assert rows.dtype == y.dtype == np.float32
+        for layer, (dw, db) in zip(net.layers, net.backward(np.ones_like(out), caches)):
+            assert dw.dtype == db.dtype == np.float32
+            assert layer.w.dtype == layer.b.dtype == np.float64
+
+    def test_float32_gradients_match_float64(self, rng):
+        """On one batch, the float32 step's gradients equal the float64
+        step's to within float32 rounding (eps 6e-8) over these sums of up
+        to a few hundred terms: 1e-5 of each gradient's largest entry."""
+        net = _he_net(2, (3, 1, 3), seed=11)
+        x = rng.random((2, 4, 3, 5, 8)) < 0.3
+        g = rng.normal(0.0, 1.0, (2, 4, 3, 5, 8))
+        p32, c32 = net.forward_cached(x)
+        p64, c64 = net.forward_cached(x.astype(np.float64))
+        assert p64.dtype == np.float64
+        np.testing.assert_allclose(p32, p64, rtol=0, atol=1e-6)
+        for got, want in zip(net.backward(g, c32), net.backward(g, c64)):
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-5 * np.abs(b).max())
+
+    def test_float32_step_peaks_below_float64(self, rng):
+        """A float32 step's arrays are half the size of a float64 step's,
+        so one forward and backward peak well below the float64 copy's,
+        and a fallback to float64 caches shows."""
+        net = PvsNet(ModelConfig.default(4), np.random.Generator(np.random.PCG64(0)))
+        x = rng.random((3, 8, 8, 8, 64)) < 0.3
+        x64 = x.astype(np.float64)
+
+        def step(batch):
+            pred, caches = net.forward_cached(batch)
+            net.backward(np.ones_like(pred), caches)
+
+        assert peak_mb(lambda: step(x)) <= 0.8 * peak_mb(lambda: step(x64))
 
     def test_rejects_rows(self):
         net = _he_net(2, (3,), seed=1)
@@ -502,8 +567,8 @@ def test_train_config_rejects_nonpositive_or_nonfinite_lr(lr):
 
 # sha256 of (checkpoint bytes, repr of the per-epoch history) of a tiny
 # fixed run: two random 16^3 frames, d = 2, hidden 8, 4 epochs of batch 1
-GOLDEN_TRAIN = ("befb24d76d6a00802676a87a65caccfd1d2820cdfa56c7d4b63dc258ce667bff",
-                "11b1b2965f2a9398d1811b4a2d53923849256ca460b43da41555026993d0d077")
+GOLDEN_TRAIN = ("3541853e6a9c38595e04a0da77f9364b48ce7b19222c082c8434aa5a51495e4f",
+                "3a5380b69a7d929143979c47401c570be488c4422597e2a1fdbbc5342b101c5e")
 
 
 class TestTraining:
@@ -522,6 +587,28 @@ class TestTraining:
         got = (hashlib.sha256(path.read_bytes()).hexdigest(),
                hashlib.sha256(repr(history).encode()).hexdigest())
         assert got == GOLDEN_TRAIN
+
+    def test_float32_training_tracks_float64_reference(self):
+        """Training runs in float32 against float64 weights; over a short
+        run whose loss falls by a tenth, its epoch losses and final weights
+        stay within float32 rounding of the all-float64 loop: 1e-7 on the
+        losses, 1e-6 on weights of magnitude up to 0.4."""
+        rng = np.random.Generator(np.random.PCG64(24))
+        pairs = []
+        for _ in range(3):
+            geo = rng.random((16, 16, 16)) < 0.3
+            gt = geo & (rng.random(geo.shape) < 0.5)
+            pairs.append((FroxelGrid.from_dense(geo),
+                          FroxelGrid.from_dense(gt, role="gt_pvs")))
+        mcfg = ModelConfig.default(2, hidden=8)
+        tcfg = TrainConfig(epochs=6, batch_size=2, lr=1e-1)
+        net, history = train(pairs, mcfg, tcfg)
+        want_net, want = reference.train_float64(pairs, mcfg, tcfg)
+        assert want[-1] < 0.95 * want[0]
+        np.testing.assert_allclose([e["loss"] for e in history], want, rtol=0, atol=1e-7)
+        for got, ref in zip(net.layers, want_net.layers):
+            np.testing.assert_allclose(got.w, ref.w, rtol=0, atol=1e-6)
+            np.testing.assert_allclose(got.b, ref.b, rtol=0, atol=1e-6)
 
     def test_deterministic_for_a_fixed_seed(self, rng):
         pairs = []
